@@ -162,10 +162,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         refined = fdsolver.richardson_refine(
             lambda s: coeff / (s * s), length, args.levels, args.grid
         )
+        zeros = specfun.bessel_j_zeros(omega, args.levels)
         rows = []
-        for n in range(1, args.levels + 1):
-            analytic = (specfun.bessel_j_zero(omega, n) / length) ** 2
-            fd = float(refined[n - 1])
+        for n, (j, fd) in enumerate(zip(zeros, refined.tolist()), start=1):
+            analytic = (j / length) ** 2
             rows.append([str(n), _num(analytic), _num(fd), _num(abs(fd / analytic - 1.0))])
         _write(
             args.output,
@@ -223,20 +223,25 @@ def cmd_fit(args: argparse.Namespace) -> int:
     mols = polyene.load_molecules(args.molecules)
     rows: list[polyene.FitResult] = []
     kept: list[polyene.Molecule] = []
-    all_converged = True
+    all_fitted = True
     for mol in mols:
         if mol.lambda_exp is None:
             print(
                 f"warning: {mol.name}: no lambda_exp_nm, fit skipped", file=sys.stderr
             )
             continue
-        result = polyene.fit_sigma(mol, mass=args.mass, tol=args.tol)
-        all_converged = all_converged and result.converged
+        try:
+            result = polyene.fit_sigma(mol, mass=args.mass, tol=args.tol)
+        except polyene.FitRangeError as exc:
+            print(f"error: {exc}; row left out", file=sys.stderr)
+            all_fitted = False
+            continue
+        all_fitted = all_fitted and result.converged
         rows.append(result)
         kept.append(mol)
     _emit_fit_table(rows, kept, args)
-    if not all_converged:
-        return _fail("one or more fits did not converge to the requested tolerance", 4)
+    if not all_fitted:
+        return _fail("one or more fits were out of range or missed the tolerance", 4)
     return 0
 
 
@@ -367,8 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except polyene.FitRangeError as exc:
-        return _fail(str(exc), 4)
     except OSError as exc:
         return _fail(f"cannot write output: {exc}", 3)
     except ValueError as exc:

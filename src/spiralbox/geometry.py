@@ -30,6 +30,9 @@ __all__ = [
 
 _ORTHO_TOL = 1e-10
 
+# cap on the RK4 sub-steps of one frenet_integrate call
+_MAX_SUBSTEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class CurvatureLaw:
@@ -167,7 +170,9 @@ def frenet_integrate(
     Samples are recorded at `steps + 1` uniform arc lengths.  Within each
     step the integrator sub-steps so that k * ds <= 0.1, which keeps the
     scheme in its asymptotic regime on tightly wound spiral segments; the
-    frame is re-orthonormalized after every sub-step.
+    frame is re-orthonormalized after every sub-step.  A curve that needs
+    more than a million sub-steps in all is refused with ValueError before
+    any integration.
     """
     if not s0 < s1:
         raise ValueError(f"need s0 < s1, got [{s0!r}, {s1!r}]")
@@ -177,6 +182,21 @@ def frenet_integrate(
         initial = FrenetState(s=s0, position=(0.0, 0.0))
 
     h = (s1 - s0) / steps
+
+    def _k(s: float) -> float:
+        val = k(s)
+        if not math.isfinite(val):
+            raise ValueError(f"curvature is not finite at s = {s!r}")
+        return val
+
+    # every step takes at least one sub-step, so budget + 1 steps settle it
+    sub_steps = [
+        max(1, math.ceil(abs(_k(s0 + i * h)) * h / 0.1))
+        for i in range(min(steps, _MAX_SUBSTEPS + 1))
+    ]
+    if sum(sub_steps) > _MAX_SUBSTEPS:
+        raise ValueError(f"the curvature needs more than {_MAX_SUBSTEPS} RK4 sub-steps")
+
     px, py = initial.position
     tx, ty = initial.tangent
     nx, ny = initial.normal
@@ -190,17 +210,9 @@ def frenet_integrate(
     tans[0] = (tx, ty)
     norms[0] = (nx, ny)
 
-    def _k(s: float) -> float:
-        val = k(s)
-        if not math.isfinite(val):
-            raise ValueError(f"curvature is not finite at s = {s!r}")
-        return val
-
-    for i in range(steps):
-        s_left = s0 + i * h
-        n_sub = max(1, math.ceil(abs(_k(s_left)) * h / 0.1))
+    for i, n_sub in enumerate(sub_steps):
+        s_cur = s0 + i * h
         ds = h / n_sub
-        s_cur = s_left
         for _ in range(n_sub):
             k1 = _k(s_cur)
             k2 = _k(s_cur + 0.5 * ds)

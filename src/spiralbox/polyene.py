@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from . import quantum
+from . import quantum, specfun
 from .quantum import DEFAULT_UNITS, UnitSystem
 
 __all__ = [
@@ -34,12 +34,8 @@ __all__ = [
     "REPORT_CSV_HEADER",
 ]
 
-# Grid used to bracket the root of lambda_model(sigma) = lambda_exp before
-# bisection.  Wide enough to cover fitted values near 0.02..0.07 with large
-# margin on both sides.
-SIGMA_SCAN_MIN = 1e-4
-SIGMA_SCAN_MAX = 1e3
-SIGMA_SCAN_POINTS = 400
+# largest omega a fit may return: sigma = 1e-4, far below fitted sigmas (~0.02-0.07)
+_OMEGA_CEILING = quantum.omega_from_sigma(1e-4)
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ class FitResult:
 
 
 class FitRangeError(ValueError):
-    """The target wavelength is outside the range attainable on the scan grid."""
+    """The target wavelength is outside the model's range for 0 <= omega <= the ceiling."""
 
     def __init__(self, name: str, target: float, attainable: tuple[float, float]):
         self.name = name
@@ -122,17 +118,18 @@ def fit_sigma(
     mol: Molecule,
     mass: float = 1.0,
     tol: float = 1e-6,
-    sigma_min: float = SIGMA_SCAN_MIN,
-    sigma_max: float = SIGMA_SCAN_MAX,
-    grid_points: int = SIGMA_SCAN_POINTS,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> FitResult:
     """Find sigma reproducing the measured wavelength.
 
-    Scans the log grid upward from sigma_min and bisects (in log sigma) the
-    first sign-change bracket, which selects the strong-confinement branch
-    sigma < 1 whenever the target is reachable there.  Convergence means
-    |lambda_model(sigma) - lambda_exp| <= tol.
+    Solves lambda(omega) = lambda_exp for omega >= 0 and reports
+    sigma = 1/sqrt(1 + 4 omega^2) <= 1 (sigma > 1 only repeats omega < 1/2).
+    The gap j^2_{omega,n+1} - j^2_{omega,n} rises strictly with omega, so
+    lambda falls from lambda(0): a target at or above it is refused after one
+    evaluation.  Otherwise doubling omega from 1 brackets the root, up to
+    omega(sigma = 1e-4) ~ 5000 (a target below lambda there is refused too),
+    and :func:`specfun.find_root` refines it until |lambda - lambda_exp| <= tol.
+    `iterations` counts the evaluations made after bracketing.
     """
     if mol.lambda_exp is None:
         raise ValueError(f"{mol.name}: cannot fit sigma without lambda_exp")
@@ -140,52 +137,33 @@ def fit_sigma(
         raise ValueError("tol must be positive")
     target = mol.lambda_exp
 
-    ratio = (sigma_max / sigma_min) ** (1.0 / (grid_points - 1))
-    lo = sigma_min
-    g_lo = lambda_model(lo, mol, mass, units) - target
-    seen_min = seen_max = g_lo + target
-    hi = None
-    g_hi = 0.0
-    sigma_cur = lo
-    for _ in range(grid_points - 1):
-        sigma_next = sigma_cur * ratio
-        g_next = lambda_model(sigma_next, mol, mass, units) - target
-        lam = g_next + target
-        seen_min = min(seen_min, lam)
-        seen_max = max(seen_max, lam)
-        if (g_lo <= 0.0) != (g_next <= 0.0):
-            lo, hi, g_hi = sigma_cur, sigma_next, g_next
-            break
-        sigma_cur, g_lo = sigma_next, g_next
-        lo = sigma_cur  # g_lo always belongs to lo
-    if hi is None:
-        raise FitRangeError(mol.name, target, (seen_min, seen_max))
+    def excess(omega: float) -> float:
+        sigma = 1.0 / math.sqrt(1.0 + 4.0 * omega * omega)
+        return lambda_model(sigma, mol, mass, units) - target
 
-    iterations = 0
-    best_sigma, best_g = (lo, g_lo) if abs(g_lo) <= abs(g_hi) else (hi, g_hi)
-    while abs(best_g) > tol and (hi - lo) > 1e-15 * hi and iterations < 200:
-        mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
-        if mid <= lo or mid >= hi:
-            break
-        g_mid = lambda_model(mid, mol, mass, units) - target
-        iterations += 1
-        if abs(g_mid) < abs(best_g):
-            best_sigma, best_g = mid, g_mid
-        if (g_lo <= 0.0) == (g_mid <= 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
+    lo, g_lo = 0.0, excess(0.0)
+    lambda_top = g_lo + target
+    if g_lo <= 0.0:
+        raise FitRangeError(mol.name, target, (excess(_OMEGA_CEILING) + target, lambda_top))
+    hi, g_hi = 1.0, excess(1.0)
+    while g_hi > 0.0:
+        if hi == _OMEGA_CEILING:
+            raise FitRangeError(mol.name, target, (g_hi + target, lambda_top))
+        lo, g_lo = hi, g_hi
+        hi = min(2.0 * hi, _OMEGA_CEILING)
+        g_hi = excess(hi)
 
-    lam_calc = best_g + target
+    omega, g, iterations = specfun.find_root(excess, lo, hi, g_lo, g_hi, ftol=tol)
+    lam_calc = g + target
     return FitResult(
         name=mol.name,
-        sigma=best_sigma,
-        omega=quantum.omega_from_sigma(best_sigma),
+        sigma=1.0 / math.sqrt(1.0 + 4.0 * omega * omega),
+        omega=omega,
         lambda_calc=lam_calc,
         lambda_exp=target,
         percent_error=_percent_error(lam_calc, target),
         iterations=iterations,
-        converged=abs(best_g) <= tol,
+        converged=abs(g) <= tol,
     )
 
 
@@ -207,15 +185,11 @@ def report(
     mols: Sequence[Molecule],
     sigmas: Sequence[float],
     mass: float = 1.0,
-    csv_path: str | Path | None = None,
-    svg_path: str | Path | None = None,
-    effective_mass: bool = False,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> list[FitResult]:
-    """Calculated-vs-experimental table at fixed sigma per molecule.
+    """Calculated-vs-experimental rows at fixed sigma per molecule.
 
-    Optionally writes the CSV table and a paired bar chart; rows without a
-    measured wavelength get blank experimental columns.
+    Rows without a measured wavelength have no experimental values.
     """
     if len(mols) != len(sigmas):
         raise ValueError("need exactly one sigma per molecule")
@@ -235,13 +209,6 @@ def report(
                 converged=False,
             )
         )
-    if csv_path is not None:
-        masses = [fit_effective_mass(m, units) if effective_mass and m.lambda_exp else None for m in mols]
-        write_report_csv(rows, csv_path, effective_masses=masses if effective_mass else None)
-    if svg_path is not None:
-        from . import svgplot
-
-        Path(svg_path).write_text(svgplot.report_bar_chart(rows), encoding="utf-8")
     return rows
 
 

@@ -118,7 +118,7 @@ def spiral_box_spectrum(
     if box_length <= 0.0 or mass <= 0.0 or n_levels < 1:
         raise ValueError("box_length, mass and n_levels must all be positive")
     omega = omega_from_sigma(sigma)
-    zeros = tuple(specfun.bessel_j_zero(omega, n) for n in range(1, n_levels + 1))
+    zeros = specfun.bessel_j_zeros(omega, n_levels)
     pref = units.hbar**2 / (2.0 * mass * box_length * box_length)
     energies = tuple(pref * j * j for j in zeros)
     return SpiralBoxSpectrum(

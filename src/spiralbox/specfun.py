@@ -19,6 +19,8 @@ __all__ = [
     "bessel_j",
     "bessel_j_derivative",
     "bessel_j_zero",
+    "bessel_j_zeros",
+    "find_root",
     "laguerre",
     "integrate",
 ]
@@ -167,61 +169,73 @@ def bessel_j_derivative(nu: float, x: float) -> float:
     return (nu / x) * bessel_j(nu, x) - bessel_j(nu + 1.0, x)
 
 
-# Zeros already located, keyed by order.  Extended lists are published with a
-# single dict assignment, so concurrent callers always see a consistent
-# (possibly stale) snapshot and recompute at worst.
-_ZERO_CACHE: dict[float, tuple[float, ...]] = {}
+def find_root(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, ftol: float = 0.0
+) -> tuple[float, float, int]:
+    """Root of f in the bracket a < b by Illinois false position, no derivative.
 
+    `fa` and `fb` are f(a) and f(b) and must not share a sign.  Stops when
+    the better end point has |f| <= ftol or the bracket has shrunk to a few
+    ulps.  Returns that point, f there, and the number of f evaluations.
+    """
+    if (fa < 0.0) == (fb < 0.0) and fa != 0.0 and fb != 0.0:
+        raise ValueError(f"no sign change on [{a!r}, {b!r}]")
+    evaluations = 0
+    kept = 0  # +1 / -1 when the last step kept a / b
+    while True:
+        x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+        if abs(fx) <= ftol or b - a <= 2.0 * math.ulp(x):
+            return x, fx, evaluations
+        c = b - fb * (b - a) / (fb - fa)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+        fc = f(c)
+        evaluations += 1
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa = c, fc
+            if kept == -1:
+                fb *= 0.5  # b kept twice running: halve its weight
+            kept = -1
+        else:
+            b, fb = c, fc
+            if kept == 1:
+                fa *= 0.5
+            kept = 1
+
+
+# Zero spacing exceeds 3 for every order >= 0, so a quarter-period step
+# never steps over two zeros.
 _SCAN_STEP = math.pi / 4.0
 
 
-def _refine_zero(nu: float, lo: float, hi: float, f_lo: float) -> float:
-    # bisection down to a 1e-6 bracket, then Newton polish
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        f_mid = bessel_j(nu, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    for _ in range(8):
-        fz = bessel_j(nu, z)
-        dz = fz / bessel_j_derivative(nu, z)
-        z_new = z - dz
-        if z_new <= lo - 1.0 or z_new >= hi + 1.0:
-            break  # keep the bisection estimate if Newton wanders
-        z = z_new
-        if abs(dz) <= 1e-13 * z:
-            break
-    return z
+def bessel_j_zeros(nu: float, count: int) -> tuple[float, ...]:
+    """The first `count` positive zeros j_{nu,1} < ... < j_{nu,count} of J_nu.
+
+    One sign-change scan upward from nu + 0.5 (J_nu > 0 up to its first zero,
+    beyond nu + 2), each bracket refined by :func:`find_root`.  J_nu comes
+    from the backward recurrence even where :func:`bessel_j` sums the series,
+    whose cancellation near x ~ 10 (1e-13 absolute) would cost two digits.
+    """
+    nu = _check_order(nu)
+    if count < 1:
+        raise ValueError(f"zero count must be >= 1, got {count!r}")
+    zeros: list[float] = []
+    x, fx = nu + 0.5, _bessel_miller(nu, nu + 0.5)
+    while len(zeros) < count:
+        x_next = x + _SCAN_STEP
+        f_next = _bessel_miller(nu, x_next)
+        if f_next == 0.0:
+            zeros.append(x_next)
+            f_next = -fx  # the sign J_nu takes just past the zero
+        elif (fx < 0.0) != (f_next < 0.0):
+            zeros.append(find_root(lambda t: _bessel_miller(nu, t), x, x_next, fx, f_next)[0])
+        x, fx = x_next, f_next
+    return tuple(zeros)
 
 
 def bessel_j_zero(nu: float, n: int) -> float:
     """n-th positive zero j_{nu,n} of J_nu, n >= 1."""
-    nu = _check_order(nu)
-    if n < 1:
-        raise ValueError(f"zero index must be >= 1, got {n!r}")
-    cached = _ZERO_CACHE.get(nu, ())
-    if len(cached) >= n:
-        return cached[n - 1]
-    zeros = list(cached)
-    # resume the sign-change scan just past the last zero found so far
-    x = zeros[-1] + 1e-9 if zeros else nu + 0.5
-    f_prev = bessel_j(nu, x)
-    while len(zeros) < n:
-        x_next = x + _SCAN_STEP
-        f_next = bessel_j(nu, x_next)
-        if f_next == 0.0 or (f_prev < 0.0) != (f_next < 0.0):
-            zeros.append(_refine_zero(nu, x, x_next, f_prev))
-            x = zeros[-1] + 1e-9
-            f_prev = bessel_j(nu, x)
-        else:
-            x, f_prev = x_next, f_next
-    _ZERO_CACHE[nu] = tuple(zeros)
-    return zeros[n - 1]
+    return bessel_j_zeros(nu, n)[n - 1]
 
 
 def laguerre(degree: int, alpha: float, x: float) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,19 @@ def test_curve_invalid_range(tmp_path):
         ["curve", "--sigma", "1", "--s-min", "2", "--s-max", "1", "--output", str(tmp_path / "x")]
     )
     assert code == 2
+
+
+def test_curve_beyond_frenet_budget_exits_2_at_once(tmp_path, capsys):
+    # k ~ 2.5e6 near s_min would take ~4e7 RK4 sub-steps
+    out = tmp_path / "c.csv"
+    start = time.perf_counter()
+    code = main(
+        ["curve", "--sigma", "1e-6", "--p", "0.3", "--samples", "10", "--output", str(out)]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_2(tmp_path):
@@ -304,6 +318,22 @@ def test_fit_no_bracket_exits_4(tmp_path):
     )
     out = tmp_path / "fits.csv"
     assert main(["fit", "--molecules", str(mol_file), "--output", str(out)]) == 4
+
+
+def test_fit_writes_every_row_it_can_fit(tmp_path, capsys):
+    records = json.loads((DATA_DIR / "polyenes_roundtrip.json").read_text())
+    records[-1]["lambda_exp_nm"] = 5000.0  # above lambda at omega = 0
+    mol_file = tmp_path / "mixed.json"
+    mol_file.write_text(json.dumps(records))
+    out = tmp_path / "fits.csv"
+    assert main(["fit", "--molecules", str(mol_file), "--output", str(out)]) == 4
+    _, rows = read_csv(out)
+    assert [r[0] for r in rows] == [rec["name"] for rec in records[:3]]
+    expected_sigma = [math.sqrt(v) for v in (0.004, 0.0014, 0.0009)]
+    for row, sig in zip(rows, expected_sigma):
+        assert float(row[1]) == pytest.approx(sig, rel=1e-6)
+    err = capsys.readouterr().err
+    assert records[-1]["name"] in err and "attainable" in err
 
 
 def test_report_with_fixed_sigmas(tmp_path):

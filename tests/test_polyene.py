@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spiralbox import polyene
 from spiralbox.polyene import (
     REPORT_CSV_HEADER,
     FitRangeError,
@@ -18,8 +19,11 @@ from spiralbox.polyene import (
     lambda_model,
     load_molecules,
     report,
+    write_report_csv,
 )
 from spiralbox.quantum import DEFAULT_UNITS, ParticleInBox, transition_wavelength
+from spiralbox.specfun import bessel_j_zeros
+from spiralbox.svgplot import report_bar_chart
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -207,9 +211,45 @@ def test_fit_with_loose_tolerance_converges_immediately():
 def test_fit_reports_attainable_range():
     mol = make_molecule(*CHAINS[0][:3], lambda_exp=1e9)
     with pytest.raises(FitRangeError) as err:
-        fit_sigma(mol, sigma_min=1e-2, sigma_max=10.0, grid_points=40)
+        fit_sigma(mol)
     lo, hi = err.value.attainable
     assert 0.0 < lo < hi < 1e9
+
+
+def test_transition_gap_rises_with_omega():
+    # lambda(omega) falls strictly, which the fit's reachability rule rests on
+    omegas = [0.0] + np.geomspace(1e-3, 200.0, 120).tolist()
+    gaps = []
+    for omega in omegas:
+        j = bessel_j_zeros(omega, 10)
+        gaps.append([j[n] ** 2 - j[n - 1] ** 2 for n in range(1, 10)])
+    for lower, upper in zip(gaps, gaps[1:]):
+        assert all(b > a for a, b in zip(lower, upper))
+
+
+def test_fit_calls_lambda_model_at_most_40_times(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return lambda_model(*args, **kwargs)
+
+    monkeypatch.setattr(polyene, "lambda_model", counted)
+    for mol in load_molecules(DATA_DIR / "polyenes_roundtrip.json"):
+        calls.clear()
+        assert fit_sigma(mol).converged
+        assert 0 < len(calls) <= 40, mol.name
+
+
+def test_target_at_lambda_zero_is_unreachable():
+    mol = ALL_MOLECULES[0]
+    lambda_zero = lambda_model(1.0, mol)  # omega = 0
+    for target in (lambda_zero, 1.5 * lambda_zero):
+        with pytest.raises(FitRangeError) as err:
+            fit_sigma(make_molecule(*CHAINS[0][:3], lambda_exp=target))
+        lo, hi = err.value.attainable
+        assert hi == lambda_zero
+        assert 0.0 < lo < hi
 
 
 def test_fit_requires_lambda_exp():
@@ -257,7 +297,8 @@ def test_report_zero_errors_after_tight_fits():
 
 def test_report_handles_missing_experiment_and_empty_input(tmp_path):
     out = tmp_path / "table.csv"
-    rows = report([ALL_MOLECULES[0]], [0.05], csv_path=out)
+    rows = report([ALL_MOLECULES[0]], [0.05])
+    write_report_csv(rows, out)
     assert rows[0].lambda_exp is None and rows[0].percent_error is None
     text = out.read_text()
     assert text.splitlines()[0] == REPORT_CSV_HEADER
@@ -276,7 +317,7 @@ def test_report_percent_error_arithmetic():
 def test_report_writes_svg(tmp_path):
     mol = make_molecule("chain", 8, 9, lambda_exp=400.0)
     svg = tmp_path / "chart.svg"
-    report([mol], [0.05], svg_path=svg)
+    svg.write_text(report_bar_chart(report([mol], [0.05])))
     content = svg.read_text()
     assert content.startswith("<svg")
     assert "rect" in content

@@ -7,6 +7,7 @@ the double-precision code paths under test).
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,6 +17,8 @@ from spiralbox.specfun import (
     bessel_j,
     bessel_j_derivative,
     bessel_j_zero,
+    bessel_j_zeros,
+    find_root,
     integrate,
     laguerre,
     log_gamma,
@@ -275,6 +278,35 @@ def test_zero_interlacing():
 def test_zero_index_validation():
     with pytest.raises(ValueError):
         bessel_j_zero(1.0, 0)
+    with pytest.raises(ValueError):
+        bessel_j_zeros(1.0, 0)
+
+
+@pytest.mark.parametrize(
+    "nu", [0.0, 0.1, 0.3, 0.5, 1.0, 2.5, 7.88987, 13.3537, 23.5649, 60.0, 200.0]
+)
+def test_zeros_match_mpmath(nu):
+    rel = 2e-13 if nu <= 0.1 else 1e-14
+    zeros = bessel_j_zeros(nu, 9)
+    with mp.workdps(25):
+        for n, z in enumerate(zeros, start=1):
+            ref = mp.besseljzero(mp.mpf(nu), n)
+            assert abs(mp.mpf(z) / ref - 1) <= rel, (nu, n)
+    assert bessel_j_zero(nu, 4) == zeros[3]
+
+
+# --- find_root ----------------------------------------------------------------
+
+
+def test_find_root_brackets_and_counts():
+    x, fx, evaluations = find_root(lambda t: t * t - 2.0, 0.0, 2.0, -2.0, 2.0)
+    assert x == pytest.approx(math.sqrt(2.0), rel=1e-15)  # a bracket of a few ulps
+    assert fx == x * x - 2.0
+    assert 0 < evaluations < 20
+    # a loose ftol is met by the better end point without any evaluation
+    assert find_root(math.sin, 3.0, 4.0, math.sin(3.0), math.sin(4.0), ftol=0.5)[2] == 0
+    with pytest.raises(ValueError):
+        find_root(math.cos, 0.0, 1.0, 1.0, math.cos(1.0))
 
 
 # --- laguerre -----------------------------------------------------------------
