@@ -43,12 +43,9 @@ from .quantum import (
     transition_wavelength,
 )
 from .specfun import (
-    QuadratureError,
-    QuadratureSpec,
     bessel_j,
     bessel_j_derivative,
     bessel_j_zero,
-    integrate,
     laguerre,
     log_gamma,
 )

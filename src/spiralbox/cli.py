@@ -270,8 +270,10 @@ def cmd_hydrogen(args: argparse.Namespace) -> int:
         return _fail("--samples must be at least 2", 2)
     n = args.n_level
     a0 = args.a0
-    s_max = args.s_max if args.s_max is not None else 4.0 * n * n * a0
     state = quantum.hydrogen_state_1d(n, a0)
+    s_max = args.s_max if args.s_max is not None else 4.0 * n * n * a0
+    if not (math.isfinite(s_max) and s_max > 0.0):
+        return _fail(f"--s-max must be finite and positive, got {s_max!r}", 2)
     s_vals = np.linspace(s_max / args.samples, s_max, args.samples)
     rows = []
     for s in s_vals:

@@ -196,8 +196,9 @@ def transition_wavelength(
 
 
 # --- 1D hydrogen along the p = 1/2 spiral and the 3D radial comparison ----
-
-_NORM_SPEC = specfun.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=48)
+#
+# Both normalizations follow from the Laguerre identity (DLMF 18.17)
+#   int_0^inf x^(a+1) e^-x [L_k^(a)(x)]^2 dx = (k+a)!/k! (2k+a+1).
 
 
 @dataclass(frozen=True)
@@ -209,59 +210,52 @@ class HydrogenState1D:
     normalization: float
 
 
-def _hydrogen_1d_raw(n: int, a0: float, s: float) -> float:
-    z = 2.0 * s / (n * a0)
-    return math.exp(-0.5 * z) * z * specfun.laguerre(n - 1, 1.0, z)
+def _check_a0(a0: float) -> None:
+    if not (math.isfinite(a0) and a0 > 0.0):
+        raise ValueError(f"a0 must be finite and positive, got {a0!r}")
+
+
+def _hydrogen_raw(n: int, ell: int, a0: float, r: float) -> float:
+    """exp(-z/2) z^ell L_{n-ell-1}^(2 ell+1)(z) at z = 2r/(n a0), unnormalized.
+
+    z times the ell = 0 function is the 1D state.  A value that overflows
+    (exp(-z/2) -> 0 against L -> inf, from n ~ 240 at r = 4 n^2 a0) is refused.
+    """
+    z = 2.0 * r / (n * a0)
+    value = math.exp(-0.5 * z) * z**ell * specfun.laguerre(n - ell - 1, 2.0 * ell + 1.0, z)
+    if not math.isfinite(value):
+        raise ValueError(f"hydrogen state n = {n} overflows at r = {r!r} (z = {z!r})")
+    return value
 
 
 def hydrogen_state_1d(n: int, a0: float = 1.0) -> HydrogenState1D:
-    """Construct the N-th bound state; B is fixed by quadrature of psi^2.
-
-    The normalization integral is truncated at 50 N a0, where the integrand
-    has decayed below 1e-40.
-    """
+    """Construct the N-th bound state; int psi^2 ds = 1 gives B = 1/sqrt(N^3 a0)."""
     if n < 1:
         raise ValueError("principal quantum number must be >= 1")
-    if a0 <= 0.0:
-        raise ValueError("a0 must be positive")
-    raw_sq = specfun.integrate(
-        lambda s: _hydrogen_1d_raw(n, a0, s) ** 2, 0.0, 50.0 * n * a0, _NORM_SPEC
-    )
-    return HydrogenState1D(n=n, a0=a0, normalization=1.0 / math.sqrt(raw_sq))
+    _check_a0(a0)
+    return HydrogenState1D(n=n, a0=a0, normalization=1.0 / math.sqrt(n**3 * a0))
 
 
 def hydrogen_wavefunction_1d(state: HydrogenState1D, s: float) -> float:
     """Normalized 1D bound-state value at arc length s > 0."""
-    if s <= 0.0:
-        raise ValueError("the half-line solution is defined for s > 0")
-    return state.normalization * _hydrogen_1d_raw(state.n, state.a0, s)
-
-
-_RADIAL_NORM_CACHE: dict[tuple[int, int, float], float] = {}
-
-
-def _hydrogen_3d_raw(n: int, ell: int, a0: float, r: float) -> float:
-    z = 2.0 * r / (n * a0)
-    return math.exp(-0.5 * z) * z**ell * specfun.laguerre(n - ell - 1, 2.0 * ell + 1.0, z)
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"the half-line solution is defined for finite s > 0, got {s!r}")
+    z = 2.0 * s / (state.n * state.a0)
+    return state.normalization * z * _hydrogen_raw(state.n, 0, state.a0, s)
 
 
 def hydrogen_radial_3d(n: int, ell: int, r: float, a0: float = 1.0) -> float:
-    """Radial function R_{n,ell}(r), normalized so that int r^2 R^2 dr = 1."""
+    """Radial function R_{n,ell}(r), normalized so that int r^2 R^2 dr = 1.
+
+    N^2 = (2/(n a0))^3 / (2n (n+ell)!/(n-ell-1)!); the factorial ratio is a
+    product of 2 ell + 1 integers, exact in floating point.
+    """
     if n < 1 or ell < 0:
         raise ValueError("need n >= 1 and ell >= 0")
     if ell >= n:
         raise ValueError(f"angular momentum ell = {ell} must be below n = {n}")
+    _check_a0(a0)
     if r <= 0.0:
         raise ValueError("the radial coordinate must be positive")
-    key = (n, ell, a0)
-    norm = _RADIAL_NORM_CACHE.get(key)
-    if norm is None:
-        raw_sq = specfun.integrate(
-            lambda x: x * x * _hydrogen_3d_raw(n, ell, a0, x) ** 2,
-            0.0,
-            50.0 * n * a0,
-            _NORM_SPEC,
-        )
-        norm = 1.0 / math.sqrt(raw_sq)
-        _RADIAL_NORM_CACHE[key] = norm
-    return norm * _hydrogen_3d_raw(n, ell, a0, r)
+    norm = math.sqrt((2.0 / (n * a0)) ** 3 / (2.0 * n * math.prod(range(n - ell, n + ell + 1))))
+    return norm * _hydrogen_raw(n, ell, a0, r)

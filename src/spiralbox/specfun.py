@@ -1,5 +1,5 @@
 """Special functions built from scratch: Bessel J of real order, its zeros,
-generalized Laguerre polynomials, log-gamma, and adaptive Simpson quadrature.
+generalized Laguerre polynomials and log-gamma.
 
 Everything here is plain double-precision Python; no numerics libraries are
 used so that these routines can serve as one independent leg of the
@@ -9,12 +9,9 @@ analytic-vs-finite-difference cross checks elsewhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
-    "QuadratureError",
-    "QuadratureSpec",
     "log_gamma",
     "bessel_j",
     "bessel_j_derivative",
@@ -22,7 +19,6 @@ __all__ = [
     "bessel_j_zeros",
     "find_root",
     "laguerre",
-    "integrate",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -146,10 +142,10 @@ def bessel_j(nu: float, x: float) -> float:
         raise ValueError(f"bessel_j requires finite x >= 0, got {x!r}")
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    # The ascending series is safe while the alternating terms never grow
-    # enough to cancel below the 1e-10 accuracy target; beyond that the
+    # The ascending series is kept where its alternating terms stay small
+    # enough not to cancel (about 5e-15 absolute at x = 6); beyond that the
     # normalized backward recurrence takes over.
-    if x <= 12.0 or x * x <= 2.0 * (nu + 1.0):
+    if x <= 6.0 or x * x <= 2.0 * (nu + 1.0):
         return _bessel_series(nu, x)
     return _bessel_miller(nu, x)
 
@@ -213,8 +209,8 @@ def bessel_j_zeros(nu: float, count: int) -> tuple[float, ...]:
 
     One sign-change scan upward from nu + 0.5 (J_nu > 0 up to its first zero,
     beyond nu + 2), each bracket refined by :func:`find_root`.  J_nu comes
-    from the backward recurrence even where :func:`bessel_j` sums the series,
-    whose cancellation near x ~ 10 (1e-13 absolute) would cost two digits.
+    from the backward recurrence at every x, also below x = 6 where
+    :func:`bessel_j` sums the series, so one branch serves every zero.
     """
     nu = _check_order(nu)
     if count < 1:
@@ -249,87 +245,3 @@ def laguerre(degree: int, alpha: float, x: float) -> float:
     for k in range(1, degree):
         prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
     return cur
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for :func:`integrate`."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 48
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be a positive integer")
-
-
-def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
-    return width * (fa + 4.0 * fm + fb) / 6.0
-
-
-def _adaptive(
-    f: Callable[[float], float],
-    a: float,
-    fa: float,
-    b: float,
-    fb: float,
-    m: float,
-    fm: float,
-    whole: float,
-    tol: float,
-    spec: QuadratureSpec,
-    depth: int,
-) -> float:
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    refined = left + right
-    delta = refined - whole
-    if abs(delta) <= 15.0 * (tol + spec.rel_tol * abs(refined)):
-        return refined + delta / 15.0
-    if depth >= spec.max_subdivisions:
-        raise QuadratureError(
-            f"no convergence after {spec.max_subdivisions} subdivisions "
-            f"on [{a!r}, {b!r}] (residual {abs(delta):.3e})"
-        )
-    half_tol = 0.5 * tol
-    return _adaptive(f, a, fa, m, fm, lm, flm, left, half_tol, spec, depth + 1) + _adaptive(
-        f, m, fm, b, fb, rm, frm, right, half_tol, spec, depth + 1
-    )
-
-
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """Adaptive Simpson integral of f over [a, b].
-
-    The integrand must be finite on (a, b]; a vanishing or benign lower
-    endpoint (the typical case here is s * J_omega(s)^2 near s = 0) is fine.
-    A non-finite value exactly at `a` is replaced by a sample just inside
-    the interval.
-    """
-    if spec is None:
-        spec = QuadratureSpec()
-    if not (a < b):
-        raise ValueError(f"integration bounds must satisfy a < b, got [{a!r}, {b!r}]")
-    fa = f(a)
-    if not math.isfinite(fa):
-        fa = f(a + 1e-12 * (b - a))
-    fb = f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson(fa, fm, fb, b - a)
-    return _adaptive(f, a, fa, b, fb, m, fm, whole, spec.abs_tol, spec, 0)

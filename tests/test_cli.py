@@ -5,6 +5,7 @@ import math
 import time
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -397,6 +398,47 @@ def test_hydrogen_ground_state_nodeless(tmp_path):
     assert main(["hydrogen", "--n-level", "1", "--samples", "500", "--output", str(out)]) == 0
     _, rows = read_csv(out)
     assert all(float(r[1]) > 0.0 for r in rows)
+
+
+def test_hydrogen_n30_matches_closed_form(tmp_path):
+    # the density reaches out to s ~ 2 n^2 a0 = 1800, far past 50 n a0 = 1500
+    out = tmp_path / "hyd30.csv"
+    assert main(["hydrogen", "--n-level", "30", "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    s = [float(r[0]) for r in rows]
+    want = []
+    for x in s:
+        z = 2 * mp.mpf(x) / 30
+        want.append(float(mp.exp(-z / 2) * z * mp.laguerre(29, 1, z) / mp.sqrt(30**3)))
+    peak = max(abs(w) for w in want)
+    for r, w in zip(rows, want):
+        assert abs(float(r[1]) - w) <= 1e-8 * peak
+        assert abs(float(r[3]) - w * w) <= 1e-8 * peak * peak
+
+
+@pytest.mark.parametrize("n", [40, 60, 200])
+def test_hydrogen_large_n_writes_finite_cells(tmp_path, n):
+    out = tmp_path / f"hyd{n}.csv"
+    assert main(["hydrogen", "--n-level", str(n), "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 400
+    assert all(math.isfinite(float(c)) for r in rows for c in r)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n-level", "3", "--a0", "nan"],
+        ["--n-level", "3", "--a0", "inf"],
+        ["--n-level", "3", "--s-max", "nan"],
+        ["--n-level", "400"],  # exp(-z/2) L_399(z) overflows at the default s_max
+    ],
+)
+def test_hydrogen_non_finite_input_or_result_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "hyd.csv"
+    assert main(["hydrogen", *flags, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 # --- determinism ----------------------------------------------------------------------

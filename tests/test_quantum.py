@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -29,9 +30,6 @@ OMEGA_TABLE = [
     (0.0009, 16.65920),
     (0.00045, 23.56490),
 ]
-
-NORM_SPEC = specfun.QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9, max_subdivisions=48)
-
 
 # --- curvature-induced potential ---------------------------------------------
 
@@ -133,16 +131,14 @@ def test_wavefunction_boundary_values():
 def test_wavefunction_normalized():
     spec = spiral_box_spectrum(math.sqrt(0.0014), 1.0, 1.0, 4)
     for n in (1, 4):
-        total = specfun.integrate(
-            lambda s: spiral_box_wavefunction(spec, n, s) ** 2, 0.0, 1.0, NORM_SPEC
-        )
+        total = mp.quad(lambda s: spiral_box_wavefunction(spec, n, float(s)) ** 2, [0, 1])
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("sigma_sq", [v for v, _ in OMEGA_TABLE])
 def test_normalization_closure_on_fine_grid(sigma_sq):
-    # composite-Simpson grid sum of |psi_n|^2, independent of the adaptive
-    # quadrature route, for the first eight levels
+    # composite-Simpson grid sum of |psi_n|^2, independent of the mp.quad
+    # route, for the first eight levels
     spec = spiral_box_spectrum(math.sqrt(sigma_sq), 1.0, 1.0, 8)
     s = np.linspace(0.0, 1.0, 4001)
     weights = np.ones_like(s)
@@ -158,12 +154,10 @@ def test_wavefunction_orthogonality():
     spec = spiral_box_spectrum(math.sqrt(0.004), 1.0, 1.0, 4)
     for m in (1, 2):
         for n in range(m + 1, 5):
-            overlap = specfun.integrate(
-                lambda s: spiral_box_wavefunction(spec, m, s)
-                * spiral_box_wavefunction(spec, n, s),
-                0.0,
-                1.0,
-                NORM_SPEC,
+            overlap = mp.quad(
+                lambda s: spiral_box_wavefunction(spec, m, float(s))
+                * spiral_box_wavefunction(spec, n, float(s)),
+                [0, 1],
             )
             assert abs(overlap) <= 1e-8
 
@@ -348,10 +342,16 @@ def test_hydrogen_1d_node_count(n):
 
 def test_hydrogen_1d_domain():
     state = hydrogen_state_1d(1)
-    with pytest.raises(ValueError):
-        hydrogen_wavefunction_1d(state, 0.0)
+    for bad_s in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            hydrogen_wavefunction_1d(state, bad_s)
     with pytest.raises(ValueError):
         hydrogen_state_1d(0)
+    for bad_a0 in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            hydrogen_state_1d(1, bad_a0)
+        with pytest.raises(ValueError):
+            hydrogen_radial_3d(1, 0, 1.0, bad_a0)
 
 
 # --- 3D radial functions and the density equivalence ---------------------------------
@@ -388,3 +388,45 @@ def test_density_equivalence_1d_vs_3d(n):
         [s * s * hydrogen_radial_3d(n, 0, float(s)) ** 2 for s in s_values]
     )
     assert np.allclose(p1, p3, rtol=1e-8, atol=1e-13 * float(np.max(p1)))
+
+
+# --- closed-form hydrogen norms at large n --------------------------------------------
+
+
+def _mp_radial(n, ell, a0, r):
+    z = 2 * mp.mpf(r) / (n * mp.mpf(a0))
+    norm = mp.sqrt(
+        (2 / (n * mp.mpf(a0))) ** 3 * mp.factorial(n - ell - 1) / (2 * n * mp.factorial(n + ell))
+    )
+    return norm * mp.exp(-z / 2) * z**ell * mp.laguerre(n - ell - 1, 2 * ell + 1, z)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 14, 20, 30, 45, 60])
+def test_hydrogen_closed_forms_match_mpmath(n):
+    # both norms against mpmath's factorials and Laguerre polynomials, on the
+    # whole range a CLI run samples (s up to 4 n^2 a0 by default)
+    for a0 in (1.0, 1.3):
+        r_values = np.linspace(0.05 * a0, 3.0 * n * n * a0, 40)
+        for ell in range(min(n, 4)):
+            want = [_mp_radial(n, ell, a0, float(r)) for r in r_values]
+            peak = float(max(abs(w) for w in want))
+            for r, w in zip(r_values, want):
+                got = hydrogen_radial_3d(n, ell, float(r), a0)
+                assert abs(got - float(w)) <= 1e-10 * peak, (n, ell, a0, r)
+        state = hydrogen_state_1d(n, a0)
+        want = []
+        for s in r_values:
+            z = 2 * mp.mpf(s) / (n * a0)
+            want.append(mp.exp(-z / 2) * z * mp.laguerre(n - 1, 1, z) / mp.sqrt(n**3 * a0))
+        peak = float(max(abs(w) for w in want))
+        for s, w in zip(r_values, want):
+            assert abs(hydrogen_wavefunction_1d(state, float(s)) - float(w)) <= 1e-10 * peak
+
+
+@pytest.mark.parametrize("n,ell", [(30, 0), (40, 2), (60, 3)])
+def test_radial_norm_by_mpmath_quadrature(n, ell):
+    # r^2 R^2 has decayed below 1e-300 of its peak by r = 10 n^2 a0; one
+    # subinterval per node keeps tanh-sinh on smooth pieces
+    edges = np.linspace(0.0, 10.0 * n * n, n + 1).tolist()
+    total = mp.quad(lambda r: float(r) ** 2 * hydrogen_radial_3d(n, ell, float(r)) ** 2, edges)
+    assert float(total) == pytest.approx(1.0, abs=1e-10)
