@@ -9,7 +9,6 @@ transition data with both the spiral-box and effective-mass box models.
 from .fdsolver import discretize, eigenvalues_lowest, richardson_refine
 from .geometry import (
     CurvatureLaw,
-    FrenetState,
     PlaneCurveSamples,
     curvature_of_samples,
     cs_functions,
@@ -44,7 +43,6 @@ from .quantum import (
 )
 from .specfun import (
     bessel_j,
-    bessel_j_derivative,
     bessel_j_zero,
     laguerre,
     log_gamma,

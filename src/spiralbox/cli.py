@@ -4,7 +4,8 @@ sigma/mass fitting, and analytic-vs-finite-difference oracle comparisons.
 Output files are deterministic: identical invocations produce byte-identical
 CSV/JSON/SVG (numbers at 10 significant digits, no timestamps).
 
-Exit codes: 0 success, 2 invalid flags, 3 write failure, 4 fit failure.
+Exit codes: 0 success, 2 invalid flags (every float flag must be finite, and
+so must every number written), 3 write failure, 4 fit failure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ __all__ = ["main", "build_parser"]
 
 
 def _num(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError(f"a computed value is {v!r}; the flags leave the floating-point range")
     return f"{v:.10g}"
 
 
@@ -65,6 +68,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     else:
         law = geometry.CurvatureLaw(sigma, p)
         samples = geometry.frenet_integrate(law.k, args.s_min, args.s_max, args.samples - 1)
+    if not np.all(np.isfinite(samples.points)):
+        return _fail("the curve leaves the floating-point range for these flags", 2)
     if args.format == "svg":
         _write(args.output, svgplot.curve_svg(samples.points))
     else:
@@ -104,7 +109,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                 for n, j, e in levels
             ],
         }
-        _write(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write(args.output, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     else:
         rows = [
             [str(n), _num(j), _num(e), _num(DEFAULT_UNITS.hartree_to_ev(e))]
@@ -131,10 +136,8 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         return _fail("--samples must be at least 2", 2)
     spec = quantum.spiral_box_spectrum(args.sigma, args.length, args.mass, args.level)
     s_vals = np.linspace(0.0, args.length, args.samples)
-    rows = [
-        [_num(s), _num(quantum.spiral_box_wavefunction(spec, args.level, float(s)))]
-        for s in s_vals
-    ]
+    psi = quantum.spiral_box_wavefunction(spec, args.level, s_vals)
+    rows = [[_num(s), _num(v)] for s, v in zip(s_vals, psi)]
     _write(
         args.output,
         _csv(
@@ -180,6 +183,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         # supercritical for sigma < 1 -- the ground level dives as the grid
         # refines instead of converging
         sigma = 1.0 / math.sqrt(1.0 + 4.0 * omega * omega)
+        if sigma == 0.0:
+            return _fail(f"--omega {omega!r} is too large: sigma underflows to 0", 2)
         coeff = -1.0 / (4.0 * sigma * sigma)
         rows = []
         for factor in (1, 2, 4):
@@ -251,6 +256,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         sigmas = [float(tok) for tok in args.sigmas.split(",") if tok.strip()]
     except ValueError:
         return _fail("--sigmas must be a comma-separated list of numbers", 2)
+    if not all(math.isfinite(s) for s in sigmas):
+        return _fail(f"--sigmas must be finite, got {args.sigmas!r}", 2)
     if len(sigmas) != len(mols):
         return _fail(
             f"got {len(sigmas)} sigma values for {len(mols)} molecules", 2
@@ -372,6 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            return _fail(f"--{name.replace('_', '-')} must be finite, got {value!r}", 2)
     try:
         return args.func(args)
     except OSError as exc:

@@ -68,7 +68,10 @@ def discretize(W: Callable[[float], float], L: float, n_interior: int) -> Tridia
     if n_interior < 1:
         raise ValueError("need at least one interior node")
     h = L / (n_interior + 1)
-    inv_h2 = 1.0 / (h * h)
+    h2 = h * h
+    if not 0.0 < h2 < math.inf:
+        raise ValueError(f"the grid step {h!r} squared leaves the floating-point range")
+    inv_h2 = 1.0 / h2
     diag = np.empty(n_interior)
     for i in range(1, n_interior + 1):
         w = W(i * h)

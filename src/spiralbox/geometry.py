@@ -9,14 +9,13 @@ for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "CurvatureLaw",
-    "FrenetState",
     "PlaneCurveSamples",
     "cs_functions",
     "hydrogen_curve",
@@ -27,8 +26,6 @@ __all__ = [
     "sample_hydrogen_curve",
     "sample_polyene_curve",
 ]
-
-_ORTHO_TOL = 1e-10
 
 # cap on the RK4 sub-steps of one frenet_integrate call
 _MAX_SUBSTEPS = 1_000_000
@@ -50,7 +47,10 @@ class CurvatureLaw:
     def k(self, s: float) -> float:
         if s <= 0.0:
             raise ValueError(f"curvature law is defined for s > 0, got {s!r}")
-        return 1.0 / (self.sigma * s**self.p)
+        try:
+            return 1.0 / (self.sigma * s**self.p)
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"sigma * s^p leaves the float range at s = {s!r}") from None
 
     def turning_angle(self, s: float) -> float:
         """Integral of k, i.e. the tangent angle swept from the reference point."""
@@ -58,7 +58,10 @@ class CurvatureLaw:
             raise ValueError(f"turning angle is defined for s > 0, got {s!r}")
         if self.p == 1.0:
             return math.log(s) / self.sigma
-        return s ** (1.0 - self.p) / (self.sigma * (1.0 - self.p))
+        try:
+            return s ** (1.0 - self.p) / (self.sigma * (1.0 - self.p))
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"the turning angle leaves the float range at s = {s!r}") from None
 
 
 def cs_functions(law: CurvatureLaw, s: float) -> tuple[float, float]:
@@ -67,36 +70,12 @@ def cs_functions(law: CurvatureLaw, s: float) -> tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
-@dataclass(frozen=True)
-class FrenetState:
-    """Moving frame of a plane curve at arc length s."""
-
-    s: float
-    position: tuple[float, float]
-    tangent: tuple[float, float] = (1.0, 0.0)
-    normal: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self) -> None:
-        tx, ty = self.tangent
-        nx, ny = self.normal
-        if abs(math.hypot(tx, ty) - 1.0) > _ORTHO_TOL:
-            raise ValueError("tangent must be a unit vector")
-        if abs(math.hypot(nx, ny) - 1.0) > _ORTHO_TOL:
-            raise ValueError("normal must be a unit vector")
-        if abs(tx * nx + ty * ny) > _ORTHO_TOL:
-            raise ValueError("tangent and normal must be orthogonal")
-
-
 @dataclass(frozen=True, eq=False)
 class PlaneCurveSamples:
     """Arc-length-indexed curve samples, immutable after construction."""
 
     s_values: np.ndarray
     points: np.ndarray
-    start_s: float
-    center: tuple[float, float] = (0.0, 0.0)
-    tangents: np.ndarray | None = field(default=None, compare=False)
-    normals: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         s = np.asarray(self.s_values, dtype=float)
@@ -136,6 +115,8 @@ def hydrogen_curve(
     c0, s0_ = cs_functions(law, s0)
     c, sn = cs_functions(law, s)
     half_sig2 = 0.5 * sigma * sigma
+    if math.isinf(half_sig2):
+        raise ValueError(f"sigma = {sigma!r} is too large: sigma^2 overflows")
     root = sigma * math.sqrt(s)
     inner = np.array(
         [half_sig2 * c + root * sn, -root * c + half_sig2 * sn]
@@ -163,23 +144,22 @@ def frenet_integrate(
     s0: float,
     s1: float,
     steps: int,
-    initial: FrenetState | None = None,
 ) -> PlaneCurveSamples:
-    """Integrate t' = k n, n' = -k t, alpha' = t with classical RK4.
+    """Integrate alpha' = t, t' = k J t with classical RK4, J t = (-t_y, t_x).
 
-    Samples are recorded at `steps + 1` uniform arc lengths.  Within each
-    step the integrator sub-steps so that k * ds <= 0.1, which keeps the
-    scheme in its asymptotic regime on tightly wound spiral segments; the
-    frame is re-orthonormalized after every sub-step.  A curve that needs
-    more than a million sub-steps in all is refused with ValueError before
-    any integration.
+    In the plane the normal is the tangent turned by a right angle, so the
+    position and the unit tangent are the whole state.  The curve starts at
+    the origin heading along +x.  Samples are recorded at `steps + 1` uniform
+    arc lengths.  Within each step the integrator sub-steps so that
+    k * ds <= 0.1, which keeps the scheme in its asymptotic regime on tightly
+    wound spiral segments; the tangent is renormalized after every sub-step.
+    A curve that needs more than a million sub-steps in all is refused with
+    ValueError before any integration.
     """
     if not s0 < s1:
         raise ValueError(f"need s0 < s1, got [{s0!r}, {s1!r}]")
     if steps < 1:
         raise ValueError("steps must be a positive integer")
-    if initial is None:
-        initial = FrenetState(s=s0, position=(0.0, 0.0))
 
     h = (s1 - s0) / steps
 
@@ -191,24 +171,19 @@ def frenet_integrate(
 
     # every step takes at least one sub-step, so budget + 1 steps settle it
     sub_steps = [
-        max(1, math.ceil(abs(_k(s0 + i * h)) * h / 0.1))
+        max(1, math.ceil(min(abs(_k(s0 + i * h)) * h / 0.1, _MAX_SUBSTEPS + 1)))
         for i in range(min(steps, _MAX_SUBSTEPS + 1))
     ]
     if sum(sub_steps) > _MAX_SUBSTEPS:
         raise ValueError(f"the curvature needs more than {_MAX_SUBSTEPS} RK4 sub-steps")
 
-    px, py = initial.position
-    tx, ty = initial.tangent
-    nx, ny = initial.normal
+    px, py = 0.0, 0.0
+    tx, ty = 1.0, 0.0
 
     s_out = np.empty(steps + 1)
     pts = np.empty((steps + 1, 2))
-    tans = np.empty((steps + 1, 2))
-    norms = np.empty((steps + 1, 2))
     s_out[0] = s0
     pts[0] = (px, py)
-    tans[0] = (tx, ty)
-    norms[0] = (nx, ny)
 
     for i, n_sub in enumerate(sub_steps):
         s_cur = s0 + i * h
@@ -218,61 +193,30 @@ def frenet_integrate(
             k2 = _k(s_cur + 0.5 * ds)
             k4 = _k(s_cur + ds)
 
-            # stage 1
-            a_px, a_py = tx, ty
-            a_tx, a_ty = k1 * nx, k1 * ny
-            a_nx, a_ny = -k1 * tx, -k1 * ty
-            # stage 2
+            # each stage's position slope is that stage's tangent
+            a_tx, a_ty = -k1 * ty, k1 * tx
             tx2, ty2 = tx + 0.5 * ds * a_tx, ty + 0.5 * ds * a_ty
-            nx2, ny2 = nx + 0.5 * ds * a_nx, ny + 0.5 * ds * a_ny
-            b_px, b_py = tx2, ty2
-            b_tx, b_ty = k2 * nx2, k2 * ny2
-            b_nx, b_ny = -k2 * tx2, -k2 * ty2
-            # stage 3
+            b_tx, b_ty = -k2 * ty2, k2 * tx2
             tx3, ty3 = tx + 0.5 * ds * b_tx, ty + 0.5 * ds * b_ty
-            nx3, ny3 = nx + 0.5 * ds * b_nx, ny + 0.5 * ds * b_ny
-            c_px, c_py = tx3, ty3
-            c_tx, c_ty = k2 * nx3, k2 * ny3
-            c_nx, c_ny = -k2 * tx3, -k2 * ty3
-            # stage 4
+            c_tx, c_ty = -k2 * ty3, k2 * tx3
             tx4, ty4 = tx + ds * c_tx, ty + ds * c_ty
-            nx4, ny4 = nx + ds * c_nx, ny + ds * c_ny
-            d_px, d_py = tx4, ty4
-            d_tx, d_ty = k4 * nx4, k4 * ny4
-            d_nx, d_ny = -k4 * tx4, -k4 * ty4
+            d_tx, d_ty = -k4 * ty4, k4 * tx4
 
             w = ds / 6.0
-            px += w * (a_px + 2.0 * (b_px + c_px) + d_px)
-            py += w * (a_py + 2.0 * (b_py + c_py) + d_py)
+            px += w * (tx + 2.0 * (tx2 + tx3) + tx4)
+            py += w * (ty + 2.0 * (ty2 + ty3) + ty4)
             tx += w * (a_tx + 2.0 * (b_tx + c_tx) + d_tx)
             ty += w * (a_ty + 2.0 * (b_ty + c_ty) + d_ty)
-            nx += w * (a_nx + 2.0 * (b_nx + c_nx) + d_nx)
-            ny += w * (a_ny + 2.0 * (b_ny + c_ny) + d_ny)
 
             inv = 1.0 / math.hypot(tx, ty)
             tx *= inv
             ty *= inv
-            dot = nx * tx + ny * ty
-            nx -= dot * tx
-            ny -= dot * ty
-            inv = 1.0 / math.hypot(nx, ny)
-            nx *= inv
-            ny *= inv
             s_cur += ds
 
         s_out[i + 1] = s0 + (i + 1) * h
         pts[i + 1] = (px, py)
-        tans[i + 1] = (tx, ty)
-        norms[i + 1] = (nx, ny)
 
-    return PlaneCurveSamples(
-        s_values=s_out,
-        points=pts,
-        start_s=s0,
-        center=tuple(initial.position),
-        tangents=tans,
-        normals=norms,
-    )
+    return PlaneCurveSamples(s_values=s_out, points=pts)
 
 
 def curvature_of_samples(samples: PlaneCurveSamples) -> np.ndarray:
@@ -309,19 +253,9 @@ def sample_hydrogen_curve(
     center: Sequence[float] = (0.0, 0.0),
 ) -> PlaneCurveSamples:
     pts = np.array([hydrogen_curve(sigma, float(s), s0, center) for s in s_values])
-    return PlaneCurveSamples(
-        s_values=np.asarray(s_values, dtype=float),
-        points=pts,
-        start_s=s0,
-        center=tuple(center),
-    )
+    return PlaneCurveSamples(s_values=np.asarray(s_values, dtype=float), points=pts)
 
 
 def sample_polyene_curve(sigma: float, s_values: np.ndarray) -> PlaneCurveSamples:
     pts = np.array([polyene_curve(sigma, float(s)) for s in s_values])
-    return PlaneCurveSamples(
-        s_values=np.asarray(s_values, dtype=float),
-        points=pts,
-        start_s=1.0,
-        center=(0.0, 0.0),
-    )
+    return PlaneCurveSamples(s_values=np.asarray(s_values, dtype=float), points=pts)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from numbers import Real
+from typing import Protocol, Sequence
 
 from . import specfun
 
@@ -75,8 +76,8 @@ def geometry_induced_potential(
 
 def omega_from_sigma(sigma: float) -> float:
     """Bessel order omega = sqrt(|1 - 1/sigma^2|) / 2 of the spiral-box problem."""
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    if not (sigma > 0.0 and sigma * sigma > 0.0):
+        raise ValueError(f"sigma must be positive and sigma^2 must not underflow, got {sigma!r}")
     inv_sq = 0.0 if math.isinf(sigma) else 1.0 / (sigma * sigma)
     return 0.5 * math.sqrt(abs(1.0 - inv_sq))
 
@@ -119,8 +120,11 @@ def spiral_box_spectrum(
         raise ValueError("box_length, mass and n_levels must all be positive")
     omega = omega_from_sigma(sigma)
     zeros = specfun.bessel_j_zeros(omega, n_levels)
-    pref = units.hbar**2 / (2.0 * mass * box_length * box_length)
+    scale = 2.0 * mass * box_length * box_length
+    pref = units.hbar**2 / scale if scale > 0.0 else math.inf
     energies = tuple(pref * j * j for j in zeros)
+    if not math.isfinite(energies[-1]):
+        raise ValueError(f"energies overflow at mass = {mass!r}, box_length = {box_length!r}")
     return SpiralBoxSpectrum(
         sigma=sigma,
         omega=omega,
@@ -144,16 +148,27 @@ def spiral_box_normalization(spectrum: SpiralBoxSpectrum, n: int) -> float:
     )
 
 
-def spiral_box_wavefunction(spectrum: SpiralBoxSpectrum, n: int, s: float) -> float:
-    """Normalized eigenfunction value psi_n(s) on 0 <= s <= L."""
+def spiral_box_wavefunction(
+    spectrum: SpiralBoxSpectrum, n: int, s: float | Sequence[float]
+) -> float | list[float]:
+    """Normalized eigenfunction psi_n(s) on 0 <= s <= L.
+
+    A sequence of s gives the list of values, with the normalization
+    computed once for all of them.
+    """
     length = spectrum.box_length
-    if not 0.0 <= s <= length * (1.0 + 1e-12):
-        raise ValueError(f"s = {s!r} outside the box [0, {length!r}]")
-    if s == 0.0:
-        return 0.0
+    points = [s] if isinstance(s, Real) else [float(v) for v in s]
+    for v in points:
+        if not 0.0 <= v <= length * (1.0 + 1e-12):
+            raise ValueError(f"s = {v!r} outside the box [0, {length!r}]")
     j = spectrum.zero(n)
     c1 = spiral_box_normalization(spectrum, n)
-    return c1 * math.sqrt(s) * specfun.bessel_j(spectrum.omega, j * min(s, length) / length)
+    values = [
+        0.0 if v == 0.0
+        else c1 * math.sqrt(v) * specfun.bessel_j(spectrum.omega, j * min(v, length) / length)
+        for v in points
+    ]
+    return values[0] if isinstance(s, Real) else values
 
 
 def pib_open_energy(n: int, box_length: float, mass: float) -> float:
@@ -257,5 +272,8 @@ def hydrogen_radial_3d(n: int, ell: int, r: float, a0: float = 1.0) -> float:
     _check_a0(a0)
     if r <= 0.0:
         raise ValueError("the radial coordinate must be positive")
-    norm = math.sqrt((2.0 / (n * a0)) ** 3 / (2.0 * n * math.prod(range(n - ell, n + ell + 1))))
+    try:
+        norm = math.sqrt((2.0 / (n * a0)) ** 3 / (2.0 * n * math.prod(range(n - ell, n + ell + 1))))
+    except OverflowError:
+        raise ValueError(f"the normalization overflows at a0 = {a0!r}") from None
     return norm * _hydrogen_raw(n, ell, a0, r)

@@ -1,5 +1,5 @@
-"""Special functions built from scratch: Bessel J of real order, its zeros,
-generalized Laguerre polynomials and log-gamma.
+"""Special functions built from scratch: Bessel J of real order 0 <= nu <= 1e4,
+its zeros, generalized Laguerre polynomials and log-gamma.
 
 Everything here is plain double-precision Python; no numerics libraries are
 used so that these routines can serve as one independent leg of the
@@ -14,7 +14,6 @@ from typing import Callable
 __all__ = [
     "log_gamma",
     "bessel_j",
-    "bessel_j_derivative",
     "bessel_j_zero",
     "bessel_j_zeros",
     "find_root",
@@ -57,9 +56,14 @@ def log_gamma(x: float) -> float:
     return _LN_SQRT_TWO_PI + (xm1 + 0.5) * math.log(t) - t + math.log(acc)
 
 
+# The backward recurrence runs over about nu terms a call, so larger orders
+# would take seconds to minutes; the sigma fit stays below omega ~ 5000.
+_MAX_ORDER = 1e4
+
+
 def _check_order(nu: float) -> float:
-    if not math.isfinite(nu) or nu < 0.0:
-        raise ValueError(f"Bessel order must be finite and >= 0, got {nu!r}")
+    if not 0.0 <= nu <= _MAX_ORDER:
+        raise ValueError(f"Bessel order must be in [0, {_MAX_ORDER:g}], got {nu!r}")
     return float(nu)
 
 
@@ -95,6 +99,9 @@ def _bessel_miller(nu: float, x: float) -> float:
     # which degenerates to 1 = J_0 + 2 J_2 + 2 J_4 + ... for integer order.
     n_tgt = int(math.floor(nu))
     f = nu - n_tgt
+    if f + 1.0 == 1.0:
+        # f + k - 1 would vanish at k = 1; J_f and J_0 agree to double precision
+        f = 0.0
     start = _miller_start(nu, x)
     if start <= n_tgt + 10:
         start = n_tgt + 10
@@ -148,21 +155,6 @@ def bessel_j(nu: float, x: float) -> float:
     if x <= 6.0 or x * x <= 2.0 * (nu + 1.0):
         return _bessel_series(nu, x)
     return _bessel_miller(nu, x)
-
-
-def bessel_j_derivative(nu: float, x: float) -> float:
-    """Derivative J_nu'(x) via the three-term recurrence, x > 0.
-
-    For nu >= 1 this is (J_{nu-1} - J_{nu+1})/2; below order one the
-    equivalent form (nu/x) J_nu - J_{nu+1} is used so that only
-    non-negative orders are ever evaluated.
-    """
-    nu = _check_order(nu)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"bessel_j_derivative requires finite x > 0, got {x!r}")
-    if nu >= 1.0:
-        return 0.5 * (bessel_j(nu - 1.0, x) - bessel_j(nu + 1.0, x))
-    return (nu / x) * bessel_j(nu, x) - bessel_j(nu + 1.0, x)
 
 
 def find_root(

@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 import time
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiralbox.cli import main
 
@@ -450,3 +455,119 @@ def test_identical_invocations_are_byte_identical(tmp_path):
     assert main(args + ["--output", str(a)]) == 0
     assert main(args + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- flag ranges: a finite table or a clean exit 2 -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--sigma", "1", "--mass", "nan"],
+        ["spectrum", "--sigma", "1", "--mass", "1e-320"],  # energies overflow
+        ["curve", "--sigma", "nan", "--p", "1"],
+        ["curve", "--sigma", "1e300", "--p", "0.5", "--format", "svg"],  # sigma^2 overflows
+        ["curve", "--sigma", "5e-324", "--p", "0.5"],  # sigma (1 - p) underflows
+        ["curve", "--sigma", "1", "--p", "3", "--s-min", "1e-300", "--s-max", "1"],
+        ["curve", "--sigma", "1", "--p", "0", "--s-min", "1", "--s-max", "1e308", "--samples", "2"],
+        ["hydrogen", "--n-level", "1", "--a0", "1e-300"],  # (2 / a0)^3 overflows
+        ["report", "--molecules", str(DATA_DIR / "polyenes_roundtrip.json"),
+         "--sigmas", "0.05,0.05,inf,0.05"],
+        ["spectrum", "--sigma", "1e-300"],  # sigma^2 underflows
+        ["spectrum", "--sigma", "1", "--length", "1e-300"],  # 2 m L^2 underflows
+        ["oracle", "--omega", "1", "--length", "inf"],
+        ["oracle", "--omega", "1", "--length", "1e300", "--grid", "10"],  # h^2 overflows
+        ["oracle", "--omega", "1e300", "--mode", "literal", "--grid", "10"],  # sigma = 0
+        ["fit", "--molecules", str(DATA_DIR / "polyenes_roundtrip.json"), "--tol", "nan"],
+        # Bessel orders above 1e4 are refused before any recurrence runs
+        ["wavefunction", "--sigma", "1e-9", "--level", "1", "--samples", "3"],
+        ["oracle", "--omega", "1e9", "--grid", "10"],
+        ["spectrum", "--sigma", "1e-5"],
+    ],
+    ids=lambda argv: "-".join(tok.lstrip("-") for tok in argv if "/" not in tok),
+)
+def test_out_of_range_float_flag_exits_2_at_once(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main(argv + ["--output", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_bessel_order_just_below_the_limit_is_accepted(tmp_path):
+    # sigma = 5e-5 gives omega ~ 9999.99999
+    out = tmp_path / "levels.csv"
+    assert main(["spectrum", "--sigma", "5e-5", "--levels", "1", "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 1 and math.isfinite(float(rows[0][1]))
+
+
+_FLOAT = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, -2.5e-3, 5e-324, 1e300]),
+).map(repr)
+
+
+def _flags(**flags):
+    # --flag=value, since argparse reads a separate "-inf" or "-1e-05" as a flag
+    return st.fixed_dictionaries(flags).map(
+        lambda d: [f"--{name.replace('_', '-')}={value}" for name, value in d.items()]
+    )
+
+
+_COMMANDS = st.one_of(
+    _flags(
+        sigma=_FLOAT, length=_FLOAT, mass=_FLOAT, levels=st.integers(0, 3),
+        format=st.sampled_from(["csv", "json"]),
+    ).map(lambda f: ["spectrum"] + f),
+    _flags(
+        sigma=_FLOAT, length=_FLOAT, mass=_FLOAT, level=st.integers(1, 2),
+        samples=st.integers(2, 5),
+    ).map(lambda f: ["wavefunction"] + f),
+    _flags(
+        sigma=_FLOAT, p=st.sampled_from([0, 0.5, 1]), s_min=_FLOAT, s_max=_FLOAT,
+        samples=st.integers(2, 5), spacing=st.sampled_from(["log", "linear"]),
+        format=st.sampled_from(["csv", "svg"]),
+    ).map(lambda f: ["curve"] + f),
+    _flags(
+        omega=_FLOAT, length=_FLOAT, levels=st.integers(1, 2), grid=st.just(10),
+        mode=st.sampled_from(["effective", "literal"]),
+    ).map(lambda f: ["oracle"] + f),
+    _flags(n_level=st.integers(1, 3), a0=_FLOAT, s_max=_FLOAT, samples=st.integers(2, 5)).map(
+        lambda f: ["hydrogen"] + f
+    ),
+)
+
+
+def _number_cells(text: str, argv: list[str]) -> list[float]:
+    if "--format=json" in argv:
+        payload = json.loads(text)  # Infinity and NaN parse to floats too
+        levels = payload.pop("levels")
+        values = list(payload.values()) + [v for lv in levels for v in lv.values()]
+        return [float(v) for v in values]
+    if "--format=svg" in argv:
+        points = text.split('points="')[1].split('"')[0]
+        return [float(v) for pair in points.split() for v in pair.split(",")]
+    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    return [float(cell) for line in lines[1:] for cell in line.split(",")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=_COMMANDS)
+def test_float_flags_give_finite_cells_or_exit_2(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--output", str(out)])
+        assert time.perf_counter() - start < 2.0, argv
+        assert code in (0, 2), argv
+        if code == 0:
+            cells = _number_cells(out.read_text(), argv)
+            assert all(math.isfinite(v) for v in cells), argv
+        else:
+            assert err.getvalue().startswith("error: "), argv
+            assert not out.exists(), argv

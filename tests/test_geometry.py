@@ -7,7 +7,6 @@ import pytest
 
 from spiralbox.geometry import (
     CurvatureLaw,
-    FrenetState,
     PlaneCurveSamples,
     cs_functions,
     curvature_of_samples,
@@ -166,17 +165,6 @@ def test_frenet_matches_hydrogen_closed_form():
         assert np.linalg.norm(res.points[i] + offset - ref) < 1e-8
 
 
-def test_frenet_frames_stay_orthonormal():
-    law = CurvatureLaw(math.sqrt(0.004), 1.0)
-    res = frenet_integrate(law.k, 0.5, 4.0, 2_000)
-    t_norm = np.linalg.norm(res.tangents, axis=1)
-    n_norm = np.linalg.norm(res.normals, axis=1)
-    dots = np.sum(res.tangents * res.normals, axis=1)
-    assert np.max(np.abs(t_norm - 1.0)) < 1e-10
-    assert np.max(np.abs(n_norm - 1.0)) < 1e-10
-    assert np.max(np.abs(dots)) < 1e-10
-
-
 def test_frenet_polyline_length_converges_to_arc_length():
     res = frenet_integrate(lambda s: 1.0, 0.0, 2.0 * math.pi, 10_000)
     assert res.polyline_length() == pytest.approx(2.0 * math.pi, abs=1e-6)
@@ -203,20 +191,13 @@ def test_frenet_rejects_non_finite_curvature():
         frenet_integrate(lambda s: 1.0, 2.0, 1.0, 10)
 
 
-def test_frenet_state_validation():
-    with pytest.raises(ValueError):
-        FrenetState(0.0, (0.0, 0.0), tangent=(2.0, 0.0))
-    with pytest.raises(ValueError):
-        FrenetState(0.0, (0.0, 0.0), tangent=(1.0, 0.0), normal=(1.0, 0.0))
-
-
 # --- curvature reconstruction ----------------------------------------------------
 
 
 def test_curvature_of_circle_samples():
     s = np.linspace(0.0, 2.0 * math.pi, 2_000)
     pts = np.column_stack([np.cos(s), np.sin(s)])
-    samples = PlaneCurveSamples(s, pts, start_s=0.0)
+    samples = PlaneCurveSamples(s, pts)
     k = curvature_of_samples(samples)
     assert np.max(np.abs(k - 1.0)) < 1e-4
 
@@ -224,7 +205,7 @@ def test_curvature_of_circle_samples():
 def test_curvature_of_straight_line():
     s = np.linspace(0.0, 1.0, 200)
     pts = np.column_stack([s, np.zeros_like(s)])
-    k = curvature_of_samples(PlaneCurveSamples(s, pts, start_s=0.0))
+    k = curvature_of_samples(PlaneCurveSamples(s, pts))
     assert np.max(np.abs(k)) < 1e-6
 
 
@@ -248,15 +229,15 @@ def test_curvature_needs_enough_uniform_samples():
     s = np.array([0.0, 1.0])
     pts = np.column_stack([s, np.zeros_like(s)])
     with pytest.raises(ValueError):
-        curvature_of_samples(PlaneCurveSamples(s, pts, start_s=0.0))
+        curvature_of_samples(PlaneCurveSamples(s, pts))
     s = np.array([0.0, 1.0, 3.0])
     pts = np.column_stack([s, np.zeros_like(s)])
     with pytest.raises(ValueError):
-        curvature_of_samples(PlaneCurveSamples(s, pts, start_s=0.0))
+        curvature_of_samples(PlaneCurveSamples(s, pts))
 
 
 def test_samples_validation():
     with pytest.raises(ValueError):
-        PlaneCurveSamples(np.array([1.0, 1.0]), np.zeros((2, 2)), start_s=1.0)
+        PlaneCurveSamples(np.array([1.0, 1.0]), np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        PlaneCurveSamples(np.array([1.0, 2.0]), np.zeros((3, 2)), start_s=1.0)
+        PlaneCurveSamples(np.array([1.0, 2.0]), np.zeros((3, 2)))

@@ -128,6 +128,19 @@ def test_wavefunction_boundary_values():
         assert abs(spiral_box_wavefunction(spec, n, spec.box_length)) <= 1e-9
 
 
+def test_wavefunction_of_a_sequence_is_the_list_of_point_values():
+    spec = spiral_box_spectrum(math.sqrt(0.004), 1.0, 1.0, 3)
+    s = np.linspace(0.0, 1.0, 57)
+    for n in (1, 3):
+        values = spiral_box_wavefunction(spec, n, s)
+        assert isinstance(values, list)
+        assert values == [spiral_box_wavefunction(spec, n, float(x)) for x in s]
+    assert isinstance(spiral_box_wavefunction(spec, 2, 0.5), float)
+    assert spiral_box_wavefunction(spec, 2, []) == []
+    with pytest.raises(ValueError):
+        spiral_box_wavefunction(spec, 1, [0.5, 1.1])
+
+
 def test_wavefunction_normalized():
     spec = spiral_box_spectrum(math.sqrt(0.0014), 1.0, 1.0, 4)
     for n in (1, 4):
@@ -146,7 +159,7 @@ def test_normalization_closure_on_fine_grid(sigma_sq):
     weights[2:-1:2] = 2.0
     weights *= (s[1] - s[0]) / 3.0
     for n in range(1, 9):
-        vals = np.array([spiral_box_wavefunction(spec, n, float(x)) for x in s])
+        vals = np.array(spiral_box_wavefunction(spec, n, s))
         assert float(weights @ vals**2) == pytest.approx(1.0, abs=1e-6)
 
 

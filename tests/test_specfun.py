@@ -14,7 +14,6 @@ import pytest
 from oracles import mp_bessel_j
 from spiralbox.specfun import (
     bessel_j,
-    bessel_j_derivative,
     bessel_j_zero,
     bessel_j_zeros,
     find_root,
@@ -124,9 +123,6 @@ ZEROS_ORACLE = [
     (23.5649, 14, 76.558416925631775),
 ]
 
-# J_1(1) from the oracle; J_0'(1) = -J_1(1)
-J1_AT_ONE = 0.44005058574493351
-
 
 # --- log_gamma --------------------------------------------------------------
 
@@ -165,6 +161,12 @@ def test_bessel_domain():
         bessel_j(-0.5, 1.0)
     with pytest.raises(ValueError):
         bessel_j(math.nan, 1.0)
+    # the backward recurrence costs O(nu) a call: orders above 1e4 are refused
+    assert math.isfinite(bessel_j(1e4, 1e4))
+    with pytest.raises(ValueError):
+        bessel_j(1.0001e4, 1.0)
+    with pytest.raises(ValueError):
+        bessel_j_zeros(1e9, 1)
 
 
 def test_bessel_half_order_identity():
@@ -209,35 +211,6 @@ def test_bessel_recurrence_consistency():
         assert abs(lhs - rhs) <= 1e-8 * scale
 
 
-# --- bessel_j_derivative -----------------------------------------------------
-
-
-def test_derivative_spot_value():
-    assert bessel_j_derivative(0.0, 1.0) == pytest.approx(-J1_AT_ONE, rel=1e-12)
-
-
-def test_derivative_small_x_limit():
-    # J_1(x) ~ x/2 so J_1'(0+) = 1/2
-    assert bessel_j_derivative(1.0, 1e-7) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_derivative_matches_central_difference():
-    rng = np.random.default_rng(7)
-    h = 1e-6
-    for _ in range(60):
-        nu = float(rng.uniform(0.0, 25.0))
-        x = float(rng.uniform(0.5, 60.0))
-        cd = (bessel_j(nu, x + h) - bessel_j(nu, x - h)) / (2.0 * h)
-        assert bessel_j_derivative(nu, x) == pytest.approx(cd, abs=1e-6)
-
-
-def test_derivative_domain():
-    with pytest.raises(ValueError):
-        bessel_j_derivative(1.0, 0.0)
-    with pytest.raises(ValueError):
-        bessel_j_derivative(1.0, -2.0)
-
-
 # --- bessel_j_zero ------------------------------------------------------------
 
 
@@ -277,6 +250,13 @@ def test_zero_interlacing():
             jn_up = bessel_j_zero(nu + 1.0, n)
             jn_next = bessel_j_zero(nu, n + 1)
             assert jn < jn_up < jn_next
+
+
+def test_order_below_double_resolution_of_one_acts_as_order_zero():
+    # nu + 1 == 1 in floating point: the backward recurrence treats nu as 0
+    for nu in (1e-17, 1e-320):
+        assert bessel_j(nu, 10.0) == pytest.approx(bessel_j(0.0, 10.0), abs=1e-15)
+        assert bessel_j_zeros(nu, 2) == pytest.approx(bessel_j_zeros(0.0, 2), rel=1e-15)
 
 
 def test_zero_index_validation():
