@@ -55,18 +55,25 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if args.samples < 2:
         return _fail("--samples must be at least 2", 2)
     sigma, p = args.sigma, args.p
+    law = geometry.CurvatureLaw(sigma, p)
     if p in (0.5, 1.0):
         # closed forms, centered on the spiral's focal point
         if args.spacing == "log":
             s_vals = geometry.log_spaced(args.s_min, args.s_max, args.samples)
         else:
             s_vals = np.linspace(args.s_min, args.s_max, args.samples)
+        try:
+            # the turning angle is largest at an end of the range or at the
+            # reference point s = 1
+            for s in (args.s_min, args.s_max, 1.0):
+                law.turning_angle(s)
+        except ValueError as exc:
+            return _fail(f"--sigma {sigma!r} is too small: {exc}", 2)
         if p == 1.0:
             samples = geometry.sample_polyene_curve(sigma, s_vals)
         else:
             samples = geometry.sample_hydrogen_curve(sigma, s_vals)
     else:
-        law = geometry.CurvatureLaw(sigma, p)
         samples = geometry.frenet_integrate(law.k, args.s_min, args.s_max, args.samples - 1)
     if not np.all(np.isfinite(samples.points)):
         return _fail("the curve leaves the floating-point range for these flags", 2)
@@ -376,9 +383,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite `--flag -1e-05` as `--flag=-1e-05`.
+
+    argparse reads a separate token that starts with '-' as an option unless
+    it looks like a plain negative decimal, so `-1e-05`, `-2E+1` or `-inf`
+    would end in "expected one argument" instead of the flag's own check.
+    """
+    out: list[str] = []
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if tok.startswith("-") and flag.startswith("--") and len(flag) > 2 and "=" not in flag:
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{flag}={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             return _fail(f"--{name.replace('_', '-')} must be finite, got {value!r}", 2)

@@ -1,7 +1,8 @@
 """Independent eigenvalue oracle for -psi'' + W(s) psi = eps psi on [0, L].
 
-Symmetric three-point discretization with Dirichlet ends plus a
-Sturm-sequence bisection eigensolver.  Deliberately self-contained (no
+Symmetric three-point discretization with Dirichlet ends plus an
+eigensolver that takes Laguerre steps on the LDL^T sweep, each kept inside
+a bracket proved by Sturm counts.  Deliberately self-contained (no
 linear-algebra library) so it can cross-validate the analytic Bessel
 spectrum without sharing any machinery with it.
 """
@@ -23,6 +24,8 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+# a Laguerre correction this small, relative to the shift, ends the iteration
+_STEP_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,6 @@ class TridiagonalOperator:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
     grid_step: float
-    length: float
 
     def __post_init__(self) -> None:
         d = np.asarray(self.diagonal, dtype=float)
@@ -79,7 +81,7 @@ def discretize(W: Callable[[float], float], L: float, n_interior: int) -> Tridia
             raise ValueError(f"potential is not finite at node s = {i * h!r}")
         diag[i - 1] = 2.0 * inv_h2 + w
     off = np.full(n_interior - 1, -inv_h2)
-    return TridiagonalOperator(diagonal=diag, off_diagonal=off, grid_step=h, length=L)
+    return TridiagonalOperator(diagonal=diag, off_diagonal=off, grid_step=h)
 
 
 def _pivmin(off_sq: Sequence[float]) -> float:
@@ -110,36 +112,139 @@ def sturm_count(op: TridiagonalOperator, lam: float) -> int:
     return _sturm_count(op.diagonal.tolist(), off_sq, lam, _pivmin(off_sq))
 
 
-def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> np.ndarray:
-    """The `count` smallest eigenvalues by Sturm bisection, ascending.
+def _sweep(
+    diag: Sequence[float], above_sq: Sequence[float], x: float, pivmin: float
+) -> tuple[int, float, float]:
+    # the LDL^T pass of _sturm_count (above_sq[i] = off[i - 1]^2, and 0 for
+    # the first row) carrying, beside the count, the logarithmic derivatives
+    # of p(x) = det(T - x I) = prod d_i:
+    #   G = (log|p|)' = sum d_i'/d_i,   H = -(log|p|)'' = sum (d_i'/d_i)^2 - d_i''/d_i,
+    # from d_i' = -1 + b d_{i-1}'/d_{i-1}^2 and its derivative (b = off^2).
+    # With q = b/d_{i-1}, r = d'/d and s = d''/d the recurrences read
+    #   r_i = (q r_{i-1} - 1)/d_i,   s_i = q (s_{i-1} - 2 r_{i-1}^2)/d_i,
+    # so no product of pivots is formed.  A pivot clamped to -pivmin (x on an
+    # eigenvalue of a leading block) sends G or H to inf or nan, never raises.
+    count = 0
+    inv = r = s = g = h = 0.0
+    for a, b in zip(diag, above_sq):
+        q = b * inv
+        d = a - x - q
+        if -pivmin < d < pivmin:
+            d = -pivmin
+        if d < 0.0:
+            count += 1
+        inv = 1.0 / d
+        s = q * (s - 2.0 * r * r) * inv
+        r = (q * r - 1.0) * inv
+        g += r
+        h += r * r - s
+    return count, g, h
 
-    Each bisection runs to machine precision relative to the Gershgorin
-    scale of the matrix, so the results are deterministic and tight enough
-    for Richardson extrapolation on top.
+
+def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> np.ndarray:
+    """The `count` smallest eigenvalues by count-safeguarded Laguerre steps, ascending.
+
+    One LDL^T sweep at a shift x gives the number of eigenvalues below x and
+    G = sum 1/(x - lam_j), H = sum 1/(x - lam_j)^2 (Li & Zeng, SIAM J. Sci.
+    Comput. 15, 1994).  For eigenvalue k the k - 1 already found are divided
+    out of G and H, which leaves a polynomial of degree m = n - k + 1 whose
+    roots all lie at or above lam_k.  Laguerre's step
+    x - m / (G -+ sqrt((m - 1)(m H - G^2))) converges cubically near lam_k
+    and never passes a root: it goes right while fewer than k eigenvalues lie
+    below x, and left only when exactly k do.  With more than k below, or
+    when a step would leave the bracket that the counts have proved for
+    lam_k, the bracket is bisected instead.  Far below lam_k the steps shrink
+    only linearly, and the iteration jumps to the limit of their geometric
+    series.  Every level starts from the sweep at the lower Gershgorin bound,
+    which is made once.
+
+    A level is done when its count bracket is 2e-10 relative wide, or
+    2 eps * ||T||: the rounding floor of the pivots, below which counts and
+    corrections are noise alike.  Once a Laguerre correction falls below
+    that tolerance, one count just beyond the corrected point closes the
+    bracket, so every result is certified by counts.
     """
     if not 1 <= count <= op.size:
         raise ValueError(f"count must lie in 1..{op.size}, got {count!r}")
     diag = op.diagonal.tolist()
     off_sq = (op.off_diagonal**2).tolist()
     pivmin = _pivmin(off_sq)
-    lo0, hi0 = op.gershgorin_bounds()
-    out = np.empty(count)
-    lo_floor = lo0
+    above_sq = [0.0, *off_sq]
+    bottom, top = op.gershgorin_bounds()
+    # positive even for the zero matrix, so that every bracket can close
+    floor = max(_EPS * max(abs(bottom), abs(top)), pivmin)
+
+    def tol(v: float) -> float:
+        return max(_STEP_RTOL * abs(v), floor)
+
+    # padded so that no eigenvalue lies below `bottom` and all lie below `top`
+    bottom -= 4.0 * floor + pivmin
+    top += 4.0 * floor + pivmin
+    # lo[k] <= lam_k < hi[k], from counts: count(lo[k]) < k <= count(hi[k])
+    lo = [bottom] * (count + 1)
+    hi = [top] * (count + 1)
+    seed = _sweep(diag, above_sq, bottom, pivmin)
+    found: list[float] = []
     for k in range(1, count + 1):
-        lo, hi = lo_floor, hi0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
+        m = op.size - k + 1
+        x, (below, g, h) = bottom, seed
+        last = 0.0  # the previous Laguerre correction, signed
+        probed = False  # the last sweep was a count placed to close the bracket
+        while True:
+            t = tol(x)
+            step = math.nan
+            if below <= k:
+                for lam in found:
+                    if x == lam:  # G and H have a pole here
+                        g = math.nan
+                        break
+                    pole = 1.0 / (x - lam)
+                    g -= pole
+                    h -= pole * pole
+                root = math.sqrt(max(0.0, (m - 1) * (m * h - g * g)))
+                if below < k:
+                    a, b, den = x, hi[k], g - root
+                else:
+                    a, b, den = lo[k], x, g + root
+                if den != 0.0:
+                    step = x - m / den
+                # rounding may carry a converged step just past the bracket
+                step = min(max(step, a), b) if a - t <= step <= b + t else math.nan
+            if hi[k] - lo[k] <= 2.0 * tol(max(abs(lo[k]), abs(hi[k]))):
                 break
-            if _sturm_count(diag, off_sq, mid, pivmin) >= k:
-                hi = mid
+            # a correction against the last one has crossed lam_k by rounding:
+            # it is trusted only while the corrections halve
+            turned = (step - x) * last < 0.0 and abs(step - x) > 0.5 * abs(last)
+            if probed or turned or math.isnan(step):
+                # also when a count beyond a converged step left the bracket open
+                x = 0.5 * (lo[k] + hi[k])
+                last = 0.0
+                probed = False
+            elif abs(step - x) <= t:
+                # converged: a count just beyond the step closes the bracket
+                x = step + t if below < k else step - t
+                probed = True
             else:
-                lo = mid
-            if hi - lo <= 4.0 * _EPS * max(abs(lo), abs(hi)):
-                break
-        out[k - 1] = 0.5 * (lo + hi)
-        lo_floor = lo  # eigenvalues are ordered; never search below the last one
-    return out
+                ratio = (step - x) / last if last else 0.0
+                if below < k and 0.8 < ratio < 1.0:
+                    # corrections that barely shrink: far below lam_k, where the
+                    # spread of the other roots makes Laguerre crawl; jump to the
+                    # limit of their geometric series, or to the middle of the
+                    # bracket if that lies outside it (counts catch an overshoot)
+                    step = x + (step - x) / (1.0 - ratio)
+                    if not lo[k] < step < hi[k]:
+                        step = 0.5 * (lo[k] + hi[k])
+                last = step - x
+                x = step
+            below, g, h = _sweep(diag, above_sq, x, pivmin)
+            for j in range(1, count + 1):
+                if below >= j:
+                    hi[j] = min(hi[j], x)
+                else:
+                    lo[j] = max(lo[j], x)
+        # the last step, taken without a sweep, is the best point in the bracket
+        found.append(step if lo[k] <= step <= hi[k] else 0.5 * (lo[k] + hi[k]))
+    return np.array(found)
 
 
 def richardson_refine(

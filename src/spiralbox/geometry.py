@@ -56,12 +56,16 @@ class CurvatureLaw:
         """Integral of k, i.e. the tangent angle swept from the reference point."""
         if s <= 0.0:
             raise ValueError(f"turning angle is defined for s > 0, got {s!r}")
-        if self.p == 1.0:
-            return math.log(s) / self.sigma
         try:
-            return s ** (1.0 - self.p) / (self.sigma * (1.0 - self.p))
+            if self.p == 1.0:
+                theta = math.log(s) / self.sigma
+            else:
+                theta = s ** (1.0 - self.p) / (self.sigma * (1.0 - self.p))
         except (ZeroDivisionError, OverflowError):
-            raise ValueError(f"the turning angle leaves the float range at s = {s!r}") from None
+            theta = math.inf
+        if not math.isfinite(theta):  # a float quotient overflows to inf silently
+            raise ValueError(f"the turning angle overflows at s = {s!r}")
+        return theta
 
 
 def cs_functions(law: CurvatureLaw, s: float) -> tuple[float, float]:
@@ -134,6 +138,8 @@ def polyene_curve(sigma: float, s: float) -> np.ndarray:
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     theta = math.log(s) / sigma
+    if not math.isfinite(theta):
+        raise ValueError(f"the turning angle overflows at s = {s!r}")
     c, sn = math.cos(theta), math.sin(theta)
     amp = sigma * s / (1.0 + sigma * sigma)
     return np.array([amp * (c + sigma * sn), amp * (sn - sigma * c)])

@@ -136,25 +136,29 @@ def fit_sigma(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     target = mol.lambda_exp
+    # lambda at each omega tried, kept whole: (lambda - target) + target
+    # cancels to 0 when lambda is far below the target
+    lam: dict[float, float] = {}
 
     def excess(omega: float) -> float:
         sigma = 1.0 / math.sqrt(1.0 + 4.0 * omega * omega)
-        return lambda_model(sigma, mol, mass, units) - target
+        lam[omega] = lambda_model(sigma, mol, mass, units)
+        return lam[omega] - target
 
     lo, g_lo = 0.0, excess(0.0)
-    lambda_top = g_lo + target
     if g_lo <= 0.0:
-        raise FitRangeError(mol.name, target, (excess(_OMEGA_CEILING) + target, lambda_top))
+        excess(_OMEGA_CEILING)
+        raise FitRangeError(mol.name, target, (lam[_OMEGA_CEILING], lam[0.0]))
     hi, g_hi = 1.0, excess(1.0)
     while g_hi > 0.0:
         if hi == _OMEGA_CEILING:
-            raise FitRangeError(mol.name, target, (g_hi + target, lambda_top))
+            raise FitRangeError(mol.name, target, (lam[hi], lam[0.0]))
         lo, g_lo = hi, g_hi
         hi = min(2.0 * hi, _OMEGA_CEILING)
         g_hi = excess(hi)
 
     omega, g, iterations = specfun.find_root(excess, lo, hi, g_lo, g_hi, ftol=tol)
-    lam_calc = g + target
+    lam_calc = lam[omega]
     return FitResult(
         name=mol.name,
         sigma=1.0 / math.sqrt(1.0 + 4.0 * omega * omega),

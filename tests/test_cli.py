@@ -132,6 +132,16 @@ def test_curve_beyond_frenet_budget_exits_2_at_once(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p", ["1", "0.5"])
+def test_curve_tiny_sigma_names_the_flag_and_the_overflow(tmp_path, capsys, p):
+    # log(s)/sigma, or 2 sqrt(s)/sigma, overflows: once a bare "math domain error"
+    out = tmp_path / "c.csv"
+    assert main(["curve", "--sigma", "1e-320", "--p", p, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sigma 1e-320") and "overflows" in err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["curve", "--sigma", "1", "--bogus", "3", "--output", str(tmp_path / "x")])
@@ -496,6 +506,29 @@ def test_out_of_range_float_flag_exits_2_at_once(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-1e-05", "-inf", "-2E+1", "-.5e3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--sigma"],
+        ["curve", "--p", "1", "--sigma"],
+        ["wavefunction", "--level", "1", "--sigma"],
+        ["oracle", "--omega", "1", "--length"],
+        ["hydrogen", "--n-level", "1", "--a0"],
+    ],
+    ids=lambda argv: "-".join(tok.lstrip("-") for tok in argv),
+)
+def test_negative_value_as_its_own_token_is_the_flags_value(tmp_path, capsys, argv, value):
+    # argparse took "-1e-05" or "-inf" for an option: "expected one argument"
+    out = tmp_path / "out"
+    assert main(argv[:-1] + [f"{argv[-1]}={value}", "--output", str(out)]) == 2
+    joined = capsys.readouterr().err
+    assert main(argv + [value, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == joined
+    assert joined.startswith("error: ")
+    assert not out.exists()
+
+
 def test_bessel_order_just_below_the_limit_is_accepted(tmp_path):
     # sigma = 5e-5 gives omega ~ 9999.99999
     out = tmp_path / "levels.csv"
@@ -511,7 +544,8 @@ _FLOAT = st.one_of(
 
 
 def _flags(**flags):
-    # --flag=value, since argparse reads a separate "-inf" or "-1e-05" as a flag
+    # --flag=value; a separate negative token is covered by
+    # test_negative_value_as_its_own_token_is_the_flags_value
     return st.fixed_dictionaries(flags).map(
         lambda d: [f"--{name.replace('_', '-')}={value}" for name, value in d.items()]
     )

@@ -1,11 +1,12 @@
-"""Tests for the tridiagonal discretization and Sturm bisection eigensolver."""
+"""Tests for the tridiagonal discretization, Sturm counts and the count-safeguarded
+Laguerre eigensolver."""
 
 import math
 
 import numpy as np
 import pytest
 
-from spiralbox import specfun
+from spiralbox import fdsolver, specfun
 from spiralbox.fdsolver import (
     TridiagonalOperator,
     discretize,
@@ -77,7 +78,7 @@ def test_sturm_count_matches_dense_eigensolver():
         n = int(rng.integers(2, 50))
         diag = rng.normal(scale=3.0, size=n)
         off = rng.normal(scale=2.0, size=n - 1)
-        op = TridiagonalOperator(diag, off, 1.0, 1.0)
+        op = TridiagonalOperator(diag, off, 1.0)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         eigs = np.linalg.eigvalsh(dense)
         for lam in rng.normal(scale=5.0, size=6):
@@ -92,7 +93,7 @@ def test_sturm_count_matches_characteristic_polynomial_signs():
         n = int(rng.integers(2, 30))
         diag = rng.normal(size=n)
         off = rng.normal(size=n - 1)
-        op = TridiagonalOperator(diag, off, 1.0, 1.0)
+        op = TridiagonalOperator(diag, off, 1.0)
         for lam in rng.normal(scale=2.0, size=4):
             p_prev, p = 1.0, diag[0] - lam
             changes = 1 if p < 0 else 0
@@ -154,13 +155,82 @@ def test_cauchy_interlacing_on_nested_matrices():
     rng = np.random.default_rng(9)
     diag = rng.normal(size=21)
     off = rng.normal(size=20)
-    big = TridiagonalOperator(diag, off, 1.0, 1.0)
-    small = TridiagonalOperator(diag[:20], off[:19], 1.0, 1.0)
+    big = TridiagonalOperator(diag, off, 1.0)
+    small = TridiagonalOperator(diag[:20], off[:19], 1.0)
     ev_big = eigenvalues_lowest(big, 21)
     ev_small = eigenvalues_lowest(small, 20)
     for k in range(20):
         assert ev_big[k] <= ev_small[k] + 1e-12
         assert ev_small[k] <= ev_big[k + 1] + 1e-12
+
+
+def _hard_spectra():
+    """Seeded tridiagonals: decoupled blocks with repeated eigenvalues, constant
+    diagonals and isolated very negative levels, besides general ones."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(6):
+        n = int(rng.integers(2, 40))
+        diag, off = rng.normal(scale=3.0, size=n), rng.normal(scale=2.0, size=n - 1)
+        cases.append(pytest.param(diag, off, id=f"general-{i}"))
+        # a few values shared by many blocks: repeated eigenvalues
+        diag = rng.choice(rng.normal(scale=3.0, size=3), size=n)
+        off = rng.normal(size=n - 1)
+        off[rng.random(n - 1) < 0.5] = 0.0
+        cases.append(pytest.param(diag, off, id=f"blocks-{i}"))
+        cases.append(pytest.param(diag, np.zeros(n - 1), id=f"diagonal-{i}"))
+        const = np.full(n, diag[0])
+        cases.append(pytest.param(const, np.full(n - 1, -1.0), id=f"constant-{i}"))
+        cases.append(pytest.param(const, np.zeros(n - 1), id=f"constant-uncoupled-{i}"))
+        diag = rng.normal(size=n) + 2.0
+        diag[0] = -rng.uniform(1e5, 1e7)
+        cases.append(pytest.param(diag, -np.ones(n - 1), id=f"isolated-{i}"))
+    # literal mode: -1/(4 sigma^2 s^2) at sigma = 1/sqrt(1 + 4 * 12^2)
+    op = discretize(lambda s: -(1.0 + 4.0 * 144.0) / (4.0 * s * s), 1.0, 300)
+    cases.append(pytest.param(op.diagonal, op.off_diagonal, id="literal"))
+    return cases
+
+
+@pytest.mark.parametrize("diag,off", _hard_spectra())
+def test_lowest_eigenvalues_match_dense_solver(diag, off):
+    op = TridiagonalOperator(diag, off, 1.0)
+    dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    norm = max(abs(b) for b in op.gershgorin_bounds())
+    count = min(op.size, 6)
+    got = eigenvalues_lowest(op, count)
+    assert got == pytest.approx(dense[:count], rel=1e-9, abs=1e-13 * norm)
+
+
+@pytest.mark.parametrize("diag,off", _hard_spectra())
+def test_each_eigenvalue_is_certified_by_counts(diag, off):
+    op = TridiagonalOperator(diag, off, 1.0)
+    norm = max(abs(b) for b in op.gershgorin_bounds())
+    for k, lam in enumerate(eigenvalues_lowest(op, min(op.size, 12)), start=1):
+        delta = 1e-9 * max(abs(lam), 2.220446049250313e-16 * norm)
+        assert sturm_count(op, lam - delta) <= k - 1 < k <= sturm_count(op, lam + delta), k
+
+
+def test_zero_matrix_brackets_close():
+    # ||T|| = 0: the stopping tolerance must not vanish with it
+    got = eigenvalues_lowest(TridiagonalOperator(np.zeros(4), np.zeros(3), 1.0), 4)
+    assert np.all(np.abs(got) < 1e-280)
+
+
+def test_three_levels_at_20000_nodes_take_a_handful_of_sweeps(monkeypatch):
+    # Sturm bisection took about 210 sweeps for this solve
+    sweeps = []
+    sweep = fdsolver._sweep
+
+    def counted(*args):
+        sweeps.append(args[2])
+        return sweep(*args)
+
+    monkeypatch.setattr(fdsolver, "_sweep", counted)
+    monkeypatch.setattr(fdsolver, "_sturm_count", None)  # no count-only sweeps either
+    ev = eigenvalues_lowest(discretize(inverse_square(7.88987), 1.0, 20_000), 3)
+    assert len(sweeps) <= 40
+    for n, val in enumerate(ev, start=1):
+        assert val == pytest.approx(specfun.bessel_j_zero(7.88987, n) ** 2, rel=1e-6)
 
 
 def test_second_order_convergence():
@@ -225,6 +295,6 @@ def test_supercritical_attractive_potential_falls_to_center():
 
 def test_operator_validation():
     with pytest.raises(ValueError):
-        TridiagonalOperator(np.ones(3), np.ones(3), 0.1, 1.0)
+        TridiagonalOperator(np.ones(3), np.ones(3), 0.1)
     with pytest.raises(ValueError):
-        TridiagonalOperator(np.array([1.0, math.nan]), np.ones(1), 0.1, 1.0)
+        TridiagonalOperator(np.array([1.0, math.nan]), np.ones(1), 0.1)

@@ -216,6 +216,17 @@ def test_fit_reports_attainable_range():
     assert 0.0 < lo < hi < 1e9
 
 
+def test_attainable_range_of_tiny_wavelengths_is_not_rounded_away():
+    # at mass 1e-160 every model wavelength is ~1e-158 nm; rebuilt as
+    # (lambda - target) + target the range read [0, 0]
+    mol = make_molecule(*CHAINS[0][:3], lambda_exp=400.0)
+    with pytest.raises(FitRangeError) as err:
+        fit_sigma(mol, mass=1e-160)
+    lo, hi = err.value.attainable
+    assert hi == lambda_model(1.0, mol, mass=1e-160)  # omega = 0
+    assert 0.0 < lo < hi < 1e-150
+
+
 def test_transition_gap_rises_with_omega():
     # lambda(omega) falls strictly, which the fit's reachability rule rests on
     omegas = [0.0] + np.geomspace(1e-3, 200.0, 120).tolist()
