@@ -39,10 +39,22 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _csv(header: str, rows: list[list[str]], comments: list[str] | None = None) -> str:
-    lines = [f"# {c}" for c in (comments or [])]
+def _table(header: str, columns: list, comments: list[str]) -> str:
+    """CSV text with one row per index of the columns.
+
+    Float cells are written at 10 significant digits and integer columns as
+    integers.  Every float must be finite; the error names the first one in
+    row order that is not.
+    """
+    cols = [np.asarray(c) for c in columns]
+    floats = np.column_stack([c for c in cols if c.dtype.kind == "f"])
+    bad = floats[~np.isfinite(floats)]
+    if bad.size:
+        _num(bad[0].item())  # raises, naming the value
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.10g" for c in cols)
+    lines = [f"# {c}" for c in comments]
     lines.append(header)
-    lines.extend(",".join(r) for r in rows)
+    lines.extend(map(row.__mod__, zip(*(c.tolist() for c in cols))))
     return "\n".join(lines) + "\n"
 
 
@@ -80,11 +92,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if args.format == "svg":
         _write(args.output, svgplot.curve_svg(samples.points))
     else:
-        rows = [
-            [_num(s), _num(x), _num(y)]
-            for s, (x, y) in zip(samples.s_values, samples.points)
-        ]
-        _write(args.output, _csv("s,x,y", rows, [f"sigma = {_num(sigma)}", f"p = {_num(p)}"]))
+        columns = [samples.s_values, samples.points[:, 0], samples.points[:, 1]]
+        comments = [f"sigma = {_num(sigma)}", f"p = {_num(p)}"]
+        _write(args.output, _table("s,x,y", columns, comments))
     return 0
 
 
@@ -95,11 +105,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.sigma <= 0 or args.length <= 0 or args.mass <= 0 or args.levels < 0:
         return _fail("--sigma, --length, --mass must be positive; --levels >= 0", 2)
     omega = quantum.omega_from_sigma(args.sigma)
-    if args.levels == 0:
-        levels: list[tuple[int, float, float]] = []
-    else:
+    zeros: tuple[float, ...] = ()
+    energies: tuple[float, ...] = ()
+    if args.levels > 0:
         spec = quantum.spiral_box_spectrum(args.sigma, args.length, args.mass, args.levels)
-        levels = [(n, spec.zero(n), spec.energy(n)) for n in range(1, args.levels + 1)]
+        zeros, energies = spec.zeros, spec.energies
     if args.format == "json":
         payload = {
             "sigma": args.sigma,
@@ -113,20 +123,19 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                     "energy_hartree": e,
                     "energy_ev": DEFAULT_UNITS.hartree_to_ev(e),
                 }
-                for n, j, e in levels
+                for n, (j, e) in enumerate(zip(zeros, energies), start=1)
             ],
         }
         _write(args.output, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     else:
-        rows = [
-            [str(n), _num(j), _num(e), _num(DEFAULT_UNITS.hartree_to_ev(e))]
-            for n, j, e in levels
-        ]
+        e = np.array(energies, dtype=float)
+        with np.errstate(over="ignore"):  # the table refuses what is not finite
+            columns = [np.arange(1, e.size + 1), zeros, e, DEFAULT_UNITS.hartree_to_ev(e)]
         _write(
             args.output,
-            _csv(
+            _table(
                 "n,bessel_zero,energy_hartree,energy_ev",
-                rows,
+                columns,
                 [f"sigma = {_num(args.sigma)}", f"omega = {_num(omega)}"],
             ),
         )
@@ -144,12 +153,11 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     spec = quantum.spiral_box_spectrum(args.sigma, args.length, args.mass, args.level)
     s_vals = np.linspace(0.0, args.length, args.samples)
     psi = quantum.spiral_box_wavefunction(spec, args.level, s_vals)
-    rows = [[_num(s), _num(v)] for s, v in zip(s_vals, psi)]
     _write(
         args.output,
-        _csv(
+        _table(
             "s,psi",
-            rows,
+            [s_vals, psi],
             [
                 f"sigma = {_num(args.sigma)}",
                 f"omega = {_num(spec.omega)}",
@@ -173,15 +181,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             lambda s: coeff / (s * s), length, args.levels, args.grid
         )
         zeros = specfun.bessel_j_zeros(omega, args.levels)
-        rows = []
-        for n, (j, fd) in enumerate(zip(zeros, refined.tolist()), start=1):
-            analytic = (j / length) ** 2
-            rows.append([str(n), _num(analytic), _num(fd), _num(abs(fd / analytic - 1.0))])
+        analytic = np.array([(j / length) ** 2 for j in zeros])
+        with np.errstate(all="ignore"):  # the table refuses what is not finite
+            error = np.abs(refined / analytic - 1.0)
         _write(
             args.output,
-            _csv(
+            _table(
                 "n,analytic_epsilon,fd_epsilon,relative_error",
-                rows,
+                [np.arange(1, args.levels + 1), analytic, refined, error],
                 [f"omega = {_num(omega)}", "potential = (omega^2 - 1/4) / s^2"],
             ),
         )
@@ -193,17 +200,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if sigma == 0.0:
             return _fail(f"--omega {omega!r} is too large: sigma underflows to 0", 2)
         coeff = -1.0 / (4.0 * sigma * sigma)
-        rows = []
-        for factor in (1, 2, 4):
-            n_grid = args.grid * factor
+        grids = [args.grid, 2 * args.grid, 4 * args.grid]
+        ground = []
+        for n_grid in grids:
             op = fdsolver.discretize(lambda s: coeff / (s * s), length, n_grid)
-            ground = float(fdsolver.eigenvalues_lowest(op, 1)[0])
-            rows.append([str(n_grid), _num(ground)])
+            ground.append(float(fdsolver.eigenvalues_lowest(op, 1)[0]))
         _write(
             args.output,
-            _csv(
+            _table(
                 "grid_points,ground_epsilon",
-                rows,
+                [grids, ground],
                 [
                     f"omega = {_num(omega)} sigma = {_num(sigma)}",
                     "potential = -1 / (4 sigma^2 s^2): unbounded below, no grid limit",
@@ -289,17 +295,17 @@ def cmd_hydrogen(args: argparse.Namespace) -> int:
     if not (math.isfinite(s_max) and s_max > 0.0):
         return _fail(f"--s-max must be finite and positive, got {s_max!r}", 2)
     s_vals = np.linspace(s_max / args.samples, s_max, args.samples)
-    rows = []
-    for s in s_vals:
-        s = float(s)
-        psi = quantum.hydrogen_wavefunction_1d(state, s)
-        radial = quantum.hydrogen_radial_3d(n, 0, s, a0)
-        rows.append([_num(s), _num(psi), _num(psi * psi), _num(s * s * radial * radial)])
+    psi, radial = np.array([
+        (quantum.hydrogen_wavefunction_1d(state, s), quantum.hydrogen_radial_3d(n, 0, s, a0))
+        for s in s_vals.tolist()
+    ]).T
+    with np.errstate(all="ignore"):  # the table refuses what is not finite
+        columns = [s_vals, psi, psi * psi, s_vals * s_vals * radial * radial]
     _write(
         args.output,
-        _csv(
+        _table(
             "s,psi_1d,prob_1d,prob_3d_radial",
-            rows,
+            columns,
             [f"n = {n}", f"a0 = {_num(a0)}"],
         ),
     )

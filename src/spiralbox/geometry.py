@@ -3,7 +3,11 @@
 Closed forms exist for the two cases used by the physics layers (p = 1/2,
 the "hydrogen" spiral, and p = 1, the "polyene" spiral); a generic
 fixed-step Frenet integrator provides the independent reconstruction check
-for both.
+for both.  The turning angle and the closed forms take a float or an array
+of s.  An array is evaluated in one pass that gives every point the value of
+its single-point evaluation, bit for bit: `math` takes the logs, powers,
+cosines and sines point by point, since numpy's vector versions may differ
+in the last bit.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .specfun import pointwise
 
 __all__ = [
     "CurvatureLaw",
@@ -52,25 +58,41 @@ class CurvatureLaw:
         except (ZeroDivisionError, OverflowError):
             raise ValueError(f"sigma * s^p leaves the float range at s = {s!r}") from None
 
-    def turning_angle(self, s: float) -> float:
-        """Integral of k, i.e. the tangent angle swept from the reference point."""
-        if s <= 0.0:
-            raise ValueError(f"turning angle is defined for s > 0, got {s!r}")
-        try:
+    def turning_angle(self, s: float | np.ndarray) -> float | np.ndarray:
+        """Integral of k, i.e. the tangent angle swept from the reference point.
+
+        An array of s gives the array of angles; an error names the first s
+        that fails.
+        """
+        flat = np.asarray(s, dtype=float).reshape(-1)
+        bad = flat[flat <= 0.0]
+        if bad.size:
+            raise ValueError(f"turning angle is defined for s > 0, got {bad[0].item()!r}")
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
             if self.p == 1.0:
-                theta = math.log(s) / self.sigma
+                theta = pointwise(math.log, flat) / self.sigma
             else:
-                theta = s ** (1.0 - self.p) / (self.sigma * (1.0 - self.p))
-        except (ZeroDivisionError, OverflowError):
-            theta = math.inf
-        if not math.isfinite(theta):  # a float quotient overflows to inf silently
-            raise ValueError(f"the turning angle overflows at s = {s!r}")
-        return theta
+                theta = pointwise(_power, flat, 1.0 - self.p) / (self.sigma * (1.0 - self.p))
+        bad = flat[~np.isfinite(theta)]
+        if bad.size:
+            raise ValueError(f"the turning angle overflows at s = {bad[0].item()!r}")
+        return theta.reshape(np.shape(s)) if isinstance(s, np.ndarray) else theta.item()
 
 
-def cs_functions(law: CurvatureLaw, s: float) -> tuple[float, float]:
+def _power(base: float, exponent: float) -> float:
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
+def cs_functions(
+    law: CurvatureLaw, s: float | np.ndarray
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """The (cos, sin) pair of the swept tangent angle for a power-law curve."""
     theta = law.turning_angle(s)
+    if isinstance(theta, np.ndarray):
+        return pointwise(math.cos, theta), pointwise(math.sin, theta)
     return math.cos(theta), math.sin(theta)
 
 
@@ -104,16 +126,18 @@ def _rotation(c: float, s: float) -> np.ndarray:
 
 def hydrogen_curve(
     sigma: float,
-    s: float,
+    s: float | np.ndarray,
     s0: float = 1.0,
     center: Sequence[float] = (0.0, 0.0),
 ) -> np.ndarray:
     """Point on the p = 1/2 spiral that winds around `center`.
 
     The curve obeys ||point - center|| = sigma * sqrt(s + sigma^2/4) and is
-    arc-length parametrized with tangent (1, 0) at s0.
+    arc-length parametrized with tangent (1, 0) at s0.  An array of s gives
+    the points in an array of shape s.shape + (2,).
     """
-    if s <= 0.0 or s0 <= 0.0:
+    s = np.asarray(s, dtype=float)
+    if np.any(s <= 0.0) or s0 <= 0.0:
         raise ValueError("hydrogen curve is defined for s > 0 and s0 > 0")
     law = CurvatureLaw(sigma, 0.5)
     c0, s0_ = cs_functions(law, s0)
@@ -121,28 +145,29 @@ def hydrogen_curve(
     half_sig2 = 0.5 * sigma * sigma
     if math.isinf(half_sig2):
         raise ValueError(f"sigma = {sigma!r} is too large: sigma^2 overflows")
-    root = sigma * math.sqrt(s)
-    inner = np.array(
-        [half_sig2 * c + root * sn, -root * c + half_sig2 * sn]
-    )
-    return _rotation(c0, s0_) @ inner + np.asarray(center, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check the points
+        root = sigma * np.sqrt(s)
+        inner = np.stack([half_sig2 * c + root * sn, -root * c + half_sig2 * sn], axis=-1)
+        # one matrix-vector product per point: BLAS fuses its multiply-adds
+        rotated = (_rotation(c0, s0_) @ inner[..., None])[..., 0]
+        return rotated + np.asarray(center, dtype=float)
 
 
-def polyene_curve(sigma: float, s: float) -> np.ndarray:
+def polyene_curve(sigma: float, s: float | np.ndarray) -> np.ndarray:
     """Point on the p = 1 spiral with reference point s0 = 1 and center (0, 0).
 
-    Obeys the radius law ||point|| = sigma * s / sqrt(1 + sigma^2).
+    Obeys the radius law ||point|| = sigma * s / sqrt(1 + sigma^2).  An array
+    of s gives the points in an array of shape s.shape + (2,).
     """
-    if s <= 0.0:
+    s = np.asarray(s, dtype=float)
+    if np.any(s <= 0.0):
         raise ValueError("polyene curve is defined for s > 0")
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    theta = math.log(s) / sigma
-    if not math.isfinite(theta):
-        raise ValueError(f"the turning angle overflows at s = {s!r}")
-    c, sn = math.cos(theta), math.sin(theta)
-    amp = sigma * s / (1.0 + sigma * sigma)
-    return np.array([amp * (c + sigma * sn), amp * (sn - sigma * c)])
+    c, sn = cs_functions(CurvatureLaw(sigma, 1.0), s)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check the points
+        amp = sigma * s / (1.0 + sigma * sigma)
+        return np.stack([amp * (c + sigma * sn), amp * (sn - sigma * c)], axis=-1)
 
 
 def frenet_integrate(
@@ -258,10 +283,10 @@ def sample_hydrogen_curve(
     s0: float = 1.0,
     center: Sequence[float] = (0.0, 0.0),
 ) -> PlaneCurveSamples:
-    pts = np.array([hydrogen_curve(sigma, float(s), s0, center) for s in s_values])
-    return PlaneCurveSamples(s_values=np.asarray(s_values, dtype=float), points=pts)
+    s = np.asarray(s_values, dtype=float)
+    return PlaneCurveSamples(s_values=s, points=hydrogen_curve(sigma, s, s0, center))
 
 
 def sample_polyene_curve(sigma: float, s_values: np.ndarray) -> PlaneCurveSamples:
-    pts = np.array([polyene_curve(sigma, float(s)) for s in s_values])
-    return PlaneCurveSamples(s_values=np.asarray(s_values, dtype=float), points=pts)
+    s = np.asarray(s_values, dtype=float)
+    return PlaneCurveSamples(s_values=s, points=polyene_curve(sigma, s))

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Sequence
 
@@ -49,12 +50,32 @@ class Molecule:
     source: str = ""
 
     def __post_init__(self) -> None:
-        if self.n_pi < 2 or self.n_pi % 2 != 0:
-            raise ValueError(f"{self.name}: n_pi must be a positive even integer")
-        if not self.box_length > 0.0:
-            raise ValueError(f"{self.name}: box_length must be positive")
-        if self.lambda_exp is not None and not self.lambda_exp > 0.0:
-            raise ValueError(f"{self.name}: lambda_exp must be positive when given")
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        if not _is_int(self.n_pi) or self.n_pi < 2 or self.n_pi % 2 != 0:
+            raise ValueError(f"{self.name}: n_pi must be a positive even integer, got {self.n_pi!r}")
+        if not _is_positive_length(self.box_length):
+            raise ValueError(
+                f"{self.name}: box_length must be a finite positive number, got {self.box_length!r}"
+            )
+        if self.lambda_exp is not None and not _is_positive_length(self.lambda_exp):
+            raise ValueError(
+                f"{self.name}: lambda_exp must be a finite positive number when given, "
+                f"got {self.lambda_exp!r}"
+            )
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_positive_length(value: object) -> bool:
+    return (
+        isinstance(value, Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0.0
+    )
 
 
 def homo_index(mol: Molecule) -> int:
@@ -267,13 +288,16 @@ def load_molecules(path: str | Path) -> list[Molecule]:
         missing = _REQUIRED_FIELDS - set(rec)
         if missing:
             raise ValueError(f"record {i} is missing fields: {sorted(missing)}")
-        mols.append(
-            Molecule(
-                name=rec["name"],
-                n_pi=rec["n_pi"],
-                box_length=rec["box_length_nm"],
-                lambda_exp=rec.get("lambda_exp_nm"),
-                source=rec["source"],
+        try:
+            mols.append(
+                Molecule(
+                    name=rec["name"],
+                    n_pi=rec["n_pi"],
+                    box_length=rec["box_length_nm"],
+                    lambda_exp=rec.get("lambda_exp_nm"),
+                    source=rec["source"],
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"record {i}: {exc}") from None
     return mols

@@ -33,14 +33,11 @@ def curve_svg(points: np.ndarray, size: int = 600, margin: float = 30.0) -> str:
     span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-30))
     scale = (size - 2.0 * margin) / span
     cx, cy = 0.5 * (lo + hi)
-
-    def to_px(p: np.ndarray) -> tuple[float, float]:
-        return (
-            0.5 * size + (p[0] - cx) * scale,
-            0.5 * size - (p[1] - cy) * scale,
-        )
-
-    coords = " ".join("%s,%s" % tuple(map(_fmt, to_px(p))) for p in pts)
+    px = 0.5 * size + (pts[:, 0] - cx) * scale
+    py = 0.5 * size - (pts[:, 1] - cy) * scale
+    # "-0.000" can only be a whole coordinate: every one has 3 decimals
+    coords = " ".join(map("%.3f,%.3f".__mod__, zip(px.tolist(), py.tolist())))
+    coords = coords.replace("-0.000", "0.000")
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">\n'

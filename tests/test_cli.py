@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -14,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spiralbox
+from spiralbox import geometry, quantum
 from spiralbox.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -112,6 +117,48 @@ def test_curve_svg_output_is_deterministic(tmp_path):
     assert content.count(",") <= 5001
 
 
+def _svg_coord(v):
+    out = f"{v:.3f}"
+    return "0.000" if out == "-0.000" else out
+
+
+@pytest.mark.parametrize("p", ["1", "0.5"])
+def test_curve_text_matches_pointwise_formatting(tmp_path, p):
+    sigma, samples = 0.0632455532, 1500
+    csv_out, svg_out = tmp_path / "c.csv", tmp_path / "c.svg"
+    argv = ["curve", "--sigma", repr(sigma), "--p", p, "--samples", str(samples)]
+    assert main(argv + ["--output", str(csv_out)]) == 0
+    assert main(argv + ["--format", "svg", "--output", str(svg_out)]) == 0
+    s = geometry.log_spaced(0.05, 4.0, samples)
+    closed_form = geometry.polyene_curve if p == "1" else geometry.hydrogen_curve
+    pts = [closed_form(sigma, float(v)) for v in s]
+    rows = [f"{v:.10g},{x:.10g},{y:.10g}" for v, (x, y) in zip(s, pts)]
+    assert csv_out.read_text() == "\n".join([f"# sigma = {sigma:.10g}", f"# p = {float(p):.10g}",
+                                             "s,x,y", *rows]) + "\n"
+    arr = np.array(pts)
+    lo, hi = arr.min(axis=0), arr.max(axis=0)
+    scale = 540.0 / float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-30))
+    cx, cy = 0.5 * (lo + hi)
+    coords = " ".join(
+        f"{_svg_coord(300.0 + (x - cx) * scale)},{_svg_coord(300.0 - (y - cy) * scale)}"
+        for x, y in pts
+    )
+    assert f'<polyline points="{coords}" fill="none"' in svg_out.read_text()
+
+
+def test_tiny_sigma_writes_one_error_line_and_nothing_else(tmp_path):
+    # a numpy RuntimeWarning on the way would add lines to stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(spiralbox.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiralbox.cli", "curve", "--sigma", "1e-320", "--p", "1",
+         "--output", str(tmp_path / "c.csv")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
 def test_curve_invalid_range(tmp_path):
     code = main(
         ["curve", "--sigma", "1", "--s-min", "2", "--s-max", "1", "--output", str(tmp_path / "x")]
@@ -173,6 +220,22 @@ def test_spectrum_csv_matches_library(tmp_path):
     for row, n in zip(rows, range(1, 5)):
         assert float(row[1]) == pytest.approx(spec.zero(n), rel=1e-9)
         assert float(row[2]) == pytest.approx(spec.energy(n), rel=1e-9)
+
+
+def test_spectrum_and_wavefunction_text_match_pointwise_formatting(tmp_path):
+    sigma = 0.0632455532
+    spec_out, psi_out = tmp_path / "spec.csv", tmp_path / "psi.csv"
+    assert main(["spectrum", "--sigma", repr(sigma), "--levels", "5",
+                 "--output", str(spec_out)]) == 0
+    assert main(["wavefunction", "--sigma", repr(sigma), "--level", "3", "--samples", "300",
+                 "--output", str(psi_out)]) == 0
+    spec = quantum.spiral_box_spectrum(sigma, 1.0, 1.0, 5)
+    rows = [f"{n},{spec.zero(n):.10g},{spec.energy(n):.10g},"
+            f"{quantum.DEFAULT_UNITS.hartree_to_ev(spec.energy(n)):.10g}" for n in range(1, 6)]
+    assert spec_out.read_text().splitlines()[2:] == ["n,bessel_zero,energy_hartree,energy_ev", *rows]
+    s = np.linspace(0.0, 1.0, 300)
+    rows = [f"{v:.10g},{quantum.spiral_box_wavefunction(spec, 3, float(v)):.10g}" for v in s]
+    assert psi_out.read_text().splitlines()[3:] == ["s,psi", *rows]
 
 
 def test_spectrum_header_only_when_no_levels(tmp_path):
@@ -352,6 +415,31 @@ def test_fit_writes_every_row_it_can_fit(tmp_path, capsys):
     assert records[-1]["name"] in err and "attainable" in err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n_pi", "8"),
+        ("n_pi", 8.0),
+        ("n_pi", True),
+        ("box_length_nm", "1.39"),
+        ("box_length_nm", math.nan),
+        ("lambda_exp_nm", "400"),
+        ("lambda_exp_nm", math.inf),
+    ],
+)
+def test_molecule_file_with_a_wrong_type_exits_2(tmp_path, capsys, field, value):
+    records = json.loads((DATA_DIR / "polyenes_roundtrip.json").read_text())
+    records[1][field] = value
+    mol_file = tmp_path / "mols.json"
+    mol_file.write_text(json.dumps(records))  # nan and inf as NaN and Infinity
+    out = tmp_path / "fits.csv"
+    assert main(["fit", "--molecules", str(mol_file), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: record 1: ")
+    assert field.removesuffix("_nm") in err and records[1]["name"] in err
+    assert not out.exists()
+
+
 def test_report_with_fixed_sigmas(tmp_path):
     out = tmp_path / "report.csv"
     sigmas = ",".join(repr(math.sqrt(v)) for v in (0.004, 0.0014, 0.0009, 0.00045))
@@ -526,6 +614,36 @@ def test_negative_value_as_its_own_token_is_the_flags_value(tmp_path, capsys, ar
     assert main(argv + [value, "--output", str(out)]) == 2
     assert capsys.readouterr().err == joined
     assert joined.startswith("error: ")
+    assert not out.exists()
+
+
+def _molecule_file(tmp_path, n_pi):
+    mol_file = tmp_path / "big.json"
+    mol_file.write_text(json.dumps([{"name": "long", "n_pi": n_pi, "box_length_nm": 1.39,
+                                     "lambda_exp_nm": 400.0, "source": "synthetic"}]))
+    return str(mol_file)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--sigma", "0.03", "--levels", str(quantum.MAX_LEVELS + 1)],
+        ["spectrum", "--sigma", "0.03", "--levels", "10000"],
+        ["wavefunction", "--sigma", "5e-5", "--level", str(quantum.MAX_LEVELS + 1),
+         "--samples", "10"],
+        ["fit", "--molecules", 8_000_000],
+        ["report", "--molecules", 2 * quantum.MAX_LEVELS, "--sigmas", "0.05"],
+    ],
+    ids=["spectrum-limit", "spectrum-10000", "wavefunction", "fit", "report"],
+)
+def test_level_counts_above_the_limit_exit_2_at_once(tmp_path, capsys, argv):
+    # the zero scan costs about levels^2: --levels 2000 took 49 s
+    argv = [_molecule_file(tmp_path, a) if isinstance(a, int) else a for a in argv]
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(argv + ["--output", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 

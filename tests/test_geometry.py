@@ -121,6 +121,74 @@ def test_curve_domain_errors():
         polyene_curve(1.0, -0.5)
 
 
+def _polyene_point(sigma, s):
+    theta = math.log(s) / sigma
+    amp = sigma * s / (1.0 + sigma * sigma)
+    return (amp * (math.cos(theta) + sigma * math.sin(theta)),
+            amp * (math.sin(theta) - sigma * math.cos(theta)))
+
+
+def _hydrogen_point(sigma, s, s0, center):
+    def angle(v):
+        return math.sqrt(v) / (0.5 * sigma)
+
+    x = 0.5 * sigma * sigma * math.cos(angle(s)) + sigma * math.sqrt(s) * math.sin(angle(s))
+    y = -sigma * math.sqrt(s) * math.cos(angle(s)) + 0.5 * sigma * sigma * math.sin(angle(s))
+    c0, s0_ = math.cos(angle(s0)), math.sin(angle(s0))
+    return (c0 * x + s0_ * y + center[0], -s0_ * x + c0 * y + center[1])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closed_forms_of_an_array_match_a_pointwise_math_loop(seed):
+    rng = np.random.default_rng(seed)
+    sigma = float(rng.uniform(0.03, 2.0))
+    s = np.sort(rng.uniform(1e-3, 10.0, 500))
+    s0, center = float(rng.uniform(0.2, 3.0)), tuple(rng.uniform(-2.0, 2.0, 2).tolist())
+    for got, want in (
+        (polyene_curve(sigma, s), [_polyene_point(sigma, v) for v in s.tolist()]),
+        (hydrogen_curve(sigma, s, s0, center),
+         [_hydrogen_point(sigma, v, s0, center) for v in s.tolist()]),
+    ):
+        want = np.array(want)
+        assert got.shape == (s.size, 2)
+        extent = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-14 * extent
+
+
+def test_closed_forms_of_an_array_equal_their_single_points():
+    s = log_spaced(1e-3, 20.0, 300)
+    for sigma in (0.03, 0.7, 2.5):
+        for curve in (
+            lambda v: polyene_curve(sigma, v),
+            lambda v: hydrogen_curve(sigma, v, 0.6, (0.5, -0.25)),
+        ):
+            points = curve(s)
+            assert points.tolist() == [curve(float(v)).tolist() for v in s]
+        samples = sample_hydrogen_curve(sigma, s)
+        assert samples.points.tolist() == hydrogen_curve(sigma, s).tolist()
+        assert sample_polyene_curve(sigma, s).points.tolist() == polyene_curve(sigma, s).tolist()
+
+
+def test_turning_angle_of_an_array_names_the_first_failing_s():
+    law = CurvatureLaw(1e-320, 1.0)
+    assert law.turning_angle(np.array([1.0, 1.0])).tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match=r"overflows at s = 0\.5$"):
+        law.turning_angle(np.array([1.0, 0.5, 2.0]))
+    with pytest.raises(ValueError, match=r"overflows at s = 0\.5$"):
+        polyene_curve(1e-320, np.array([1.0, 0.5, 2.0]))
+    with pytest.raises(ValueError, match=r"got -2\.0$"):
+        CurvatureLaw(1.0, 0.5).turning_angle(np.array([1.0, -2.0, 0.0]))
+    with pytest.raises(ValueError, match="defined for s > 0"):
+        hydrogen_curve(1.0, np.array([1.0, 0.0]))
+
+
+def test_closed_forms_leaving_the_float_range_give_non_finite_points_silently():
+    # the caller checks the points; numpy must not warn on the way
+    assert not np.all(np.isfinite(polyene_curve(1e300, np.array([1e10, 1e300]))))
+    far = hydrogen_curve(1.3e154, np.array([1.0, 1.7e308]), center=(1.7e308, 1.7e308))
+    assert not np.all(np.isfinite(far))
+
+
 def test_polyene_approaches_center_faster_than_hydrogen():
     sigma = 0.5
     ratios = []

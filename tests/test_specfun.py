@@ -196,6 +196,46 @@ def test_bessel_small_argument_matches_oracle_to_1e_14():
             assert abs(bessel_j(nu, x) - float(mp_bessel_j(nu, x))) <= 1e-14, (nu, x)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _grid_cases():
+    # seeded orders over [0, 1e4]: zero, tiny, integer and half-integer ones
+    rng = np.random.default_rng(20241)
+    orders = [0.0, 1e-20, 1.0, 2.0, 0.5, 7.5, 100.0, 999.5, 1e4]
+    orders += rng.uniform(0.0, 50.0, 4).tolist() + rng.uniform(50.0, 1e4, 3).tolist()
+    cases = []
+    for nu in orders:
+        size = 200 if nu < 100.0 else 25  # the scalar reference costs about nu steps a point
+        top = max(30.0, 1.3 * nu + 40.0)
+        edges = [0.0, 6.0, math.sqrt(2.0 * (nu + 1.0))]
+        edges += [math.nextafter(v, math.inf) for v in edges[1:]]
+        edges += [math.nextafter(v, 0.0) for v in edges[1:3]]
+        cases.append((nu, np.concatenate([edges, rng.uniform(0.0, top, size)])))
+    # J_1000 on [45, 60]: the backward recurrence passes 1e250 and rescales
+    cases.append((1000.0, rng.uniform(45.0, 60.0, 25)))
+    return cases
+
+
+@pytest.mark.parametrize("nu,x", _grid_cases(), ids=lambda v: f"{v:g}" if isinstance(v, float) else "")
+def test_bessel_of_an_array_equals_the_scalar_path_bit_for_bit(nu, x):
+    got = bessel_j(nu, x)
+    assert isinstance(got, np.ndarray) and got.shape == x.shape
+    assert _bits(got) == _bits([bessel_j(nu, float(v)) for v in x])
+
+
+def test_bessel_of_an_array_keeps_shape_and_checks_every_point():
+    x = np.array([[0.0, 3.0], [7.0, 40.0]])
+    assert _bits(bessel_j(2.5, x).ravel()) == _bits([bessel_j(2.5, float(v)) for v in x.ravel()])
+    assert bessel_j(2.5, np.array([])).shape == (0,)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=repr(bad)):
+            bessel_j(1.0, np.array([1.0, bad, -2.0]))
+    with pytest.raises(ValueError):
+        bessel_j(1.0001e4, np.array([1.0]))
+
+
 def test_bessel_recurrence_consistency():
     # J_nu + J_{nu+2} = (2 (nu+1) / x) J_{nu+1}, randomized orders and arguments
     rng = np.random.default_rng(20240817)
