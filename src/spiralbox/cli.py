@@ -174,6 +174,10 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.omega < 0 or args.length <= 0 or args.levels < 1 or args.grid < 10:
         return _fail("need --omega >= 0, --length > 0, --levels >= 1, --grid >= 10", 2)
+    if args.levels > quantum.MAX_LEVELS:
+        return _fail(
+            f"--levels {args.levels}: at most {quantum.MAX_LEVELS} levels are computed", 2
+        )
     omega, length = args.omega, args.length
     if args.mode == "effective":
         coeff = omega * omega - 0.25

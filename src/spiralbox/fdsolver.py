@@ -2,7 +2,10 @@
 
 Symmetric three-point discretization with Dirichlet ends plus an
 eigensolver that takes Laguerre steps on the LDL^T sweep, each kept inside
-a bracket proved by Sturm counts.  Deliberately self-contained (no
+a bracket proved by Sturm counts.  Richardson refinement solves a grid and
+its double; the fine solve starts each level at the coarse eigenvalue, which
+is within O(h^2) of it, and so needs about three sweeps per level instead of
+five or more from the Gershgorin bound.  Deliberately self-contained (no
 linear-algebra library) so it can cross-validate the analytic Bessel
 spectrum without sharing any machinery with it.
 """
@@ -43,6 +46,13 @@ class TridiagonalOperator:
             raise ValueError("off-diagonal must be one entry shorter than the diagonal")
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
             raise ValueError("operator entries must be finite")
+        # every sweep works with the squared off-diagonal, -1/h^2 from discretize
+        e_max = float(np.max(np.abs(e), initial=0.0))
+        if not math.isfinite(e_max * e_max):
+            raise ValueError(
+                f"the grid step {self.grid_step!r} gives an off-diagonal entry {e_max!r}"
+                " whose square leaves the floating-point range"
+            )
         object.__setattr__(self, "diagonal", d)
         object.__setattr__(self, "off_diagonal", e)
 
@@ -59,11 +69,18 @@ class TridiagonalOperator:
         return float(np.min(d - radius)), float(np.max(d + radius))
 
 
-def discretize(W: Callable[[float], float], L: float, n_interior: int) -> TridiagonalOperator:
+def discretize(
+    W: Callable[[np.ndarray], np.ndarray | float], L: float, n_interior: int
+) -> TridiagonalOperator:
     """Three-point operator for -psi'' + W psi with psi(0) = psi(L) = 0.
 
     Interior nodes sit at s_i = i h, h = L / (n_interior + 1), so potentials
     singular at the origin (the 1/s^2 family) are never evaluated at s = 0.
+    `W` is called once, on the array of interior nodes, and returns the
+    potential there elementwise; a scalar return is a constant potential.
+    A non-finite value is refused, naming the first node where it occurs,
+    and so is a grid step for which h^2 or 1/h^4 (the squared off-diagonal)
+    leaves the floating-point range.
     """
     if L <= 0.0:
         raise ValueError("domain length must be positive")
@@ -74,14 +91,14 @@ def discretize(W: Callable[[float], float], L: float, n_interior: int) -> Tridia
     if not 0.0 < h2 < math.inf:
         raise ValueError(f"the grid step {h!r} squared leaves the floating-point range")
     inv_h2 = 1.0 / h2
-    diag = np.empty(n_interior)
-    for i in range(1, n_interior + 1):
-        w = W(i * h)
-        if not math.isfinite(w):
-            raise ValueError(f"potential is not finite at node s = {i * h!r}")
-        diag[i - 1] = 2.0 * inv_h2 + w
+    s = np.arange(1, n_interior + 1) * h
+    with np.errstate(all="ignore"):  # a non-finite value is refused below
+        w = np.broadcast_to(np.asarray(W(s), dtype=float), s.shape)
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise ValueError(f"potential is not finite at node s = {s[bad[0]].item()!r}")
     off = np.full(n_interior - 1, -inv_h2)
-    return TridiagonalOperator(diagonal=diag, off_diagonal=off, grid_step=h)
+    return TridiagonalOperator(diagonal=2.0 * inv_h2 + w, off_diagonal=off, grid_step=h)
 
 
 def _pivmin(off_sq: Sequence[float]) -> float:
@@ -141,7 +158,9 @@ def _sweep(
     return count, g, h
 
 
-def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> np.ndarray:
+def eigenvalues_lowest(
+    op: TridiagonalOperator, count: int, *, start: Sequence[float] | None = None
+) -> np.ndarray:
     """The `count` smallest eigenvalues by count-safeguarded Laguerre steps, ascending.
 
     One LDL^T sweep at a shift x gives the number of eigenvalues below x and
@@ -155,8 +174,15 @@ def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> np.ndarray:
     when a step would leave the bracket that the counts have proved for
     lam_k, the bracket is bisected instead.  Far below lam_k the steps shrink
     only linearly, and the iteration jumps to the limit of their geometric
-    series.  Every level starts from the sweep at the lower Gershgorin bound,
-    which is made once.
+    series.  Without `start`, every level starts from the sweep at the lower
+    Gershgorin bound, which is made once.
+
+    `start`, one approximate value per level, is only a hint: level k then
+    begins with a sweep at start[k - 1], clamped into the bracket the counts
+    have proved for it, and goes on as above.  It moves the first sweep and
+    nothing else, so the result is certified by counts all the same.  From
+    the eigenvalues of a grid half as fine, within O(h^2) of these, a level
+    takes three or four sweeps instead of five to seventeen.
 
     A level is done when its count bracket is 2e-10 relative wide, or
     2 eps * ||T||: the rounding floor of the pivots, below which counts and
@@ -166,6 +192,10 @@ def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> np.ndarray:
     """
     if not 1 <= count <= op.size:
         raise ValueError(f"count must lie in 1..{op.size}, got {count!r}")
+    if start is not None:
+        start = [float(v) for v in start]
+        if len(start) != count or not all(map(math.isfinite, start)):
+            raise ValueError(f"start must give {count} finite values, got {start!r}")
     diag = op.diagonal.tolist()
     off_sq = (op.off_diagonal**2).tolist()
     pivmin = _pivmin(off_sq)
@@ -183,11 +213,25 @@ def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> np.ndarray:
     # lo[k] <= lam_k < hi[k], from counts: count(lo[k]) < k <= count(hi[k])
     lo = [bottom] * (count + 1)
     hi = [top] * (count + 1)
-    seed = _sweep(diag, above_sq, bottom, pivmin)
+
+    def sweep(x: float) -> tuple[int, float, float]:
+        below, g, h = _sweep(diag, above_sq, x, pivmin)
+        for j in range(1, count + 1):
+            if below >= j:
+                hi[j] = min(hi[j], x)
+            else:
+                lo[j] = max(lo[j], x)
+        return below, g, h
+
+    seed = _sweep(diag, above_sq, bottom, pivmin) if start is None else None
     found: list[float] = []
     for k in range(1, count + 1):
         m = op.size - k + 1
-        x, (below, g, h) = bottom, seed
+        if start is None:
+            x, (below, g, h) = bottom, seed
+        else:
+            x = min(max(start[k - 1], lo[k]), hi[k])
+            below, g, h = sweep(x)
         last = 0.0  # the previous Laguerre correction, signed
         probed = False  # the last sweep was a count placed to close the bracket
         while True:
@@ -236,27 +280,24 @@ def eigenvalues_lowest(op: TridiagonalOperator, count: int) -> np.ndarray:
                         step = 0.5 * (lo[k] + hi[k])
                 last = step - x
                 x = step
-            below, g, h = _sweep(diag, above_sq, x, pivmin)
-            for j in range(1, count + 1):
-                if below >= j:
-                    hi[j] = min(hi[j], x)
-                else:
-                    lo[j] = max(lo[j], x)
+            below, g, h = sweep(x)
         # the last step, taken without a sweep, is the best point in the bracket
         found.append(step if lo[k] <= step <= hi[k] else 0.5 * (lo[k] + hi[k]))
     return np.array(found)
 
 
 def richardson_refine(
-    W: Callable[[float], float], L: float, count: int, n_coarse: int
+    W: Callable[[np.ndarray], np.ndarray | float], L: float, count: int, n_coarse: int
 ) -> np.ndarray:
     """Eigenvalues extrapolated from grids n_coarse and 2 n_coarse.
 
     Cancels the leading O(h^2) discretization error using the exact grid
     steps (they differ by slightly less than a factor two), leaving O(h^4).
+    The fine grid, two thirds of the work, is solved with the coarse
+    eigenvalues as its `start`.
     """
     coarse = eigenvalues_lowest(discretize(W, L, n_coarse), count)
-    fine = eigenvalues_lowest(discretize(W, L, 2 * n_coarse), count)
+    fine = eigenvalues_lowest(discretize(W, L, 2 * n_coarse), count, start=coarse)
     h_c = L / (n_coarse + 1)
     h_f = L / (2 * n_coarse + 1)
     c2, f2 = h_c * h_c, h_f * h_f

@@ -633,8 +633,12 @@ def _molecule_file(tmp_path, n_pi):
          "--samples", "10"],
         ["fit", "--molecules", 8_000_000],
         ["report", "--molecules", 2 * quantum.MAX_LEVELS, "--sigmas", "0.05"],
+        ["oracle", "--omega", "1", "--levels", str(quantum.MAX_LEVELS + 1)],
+        ["oracle", "--omega", "1", "--levels", "1500", "--grid", "2000"],
+        ["oracle", "--omega", "1", "--levels", "1500", "--mode", "literal"],
     ],
-    ids=["spectrum-limit", "spectrum-10000", "wavefunction", "fit", "report"],
+    ids=["spectrum-limit", "spectrum-10000", "wavefunction", "fit", "report",
+         "oracle-limit", "oracle-1500", "oracle-literal-1500"],
 )
 def test_level_counts_above_the_limit_exit_2_at_once(tmp_path, capsys, argv):
     # the zero scan costs about levels^2: --levels 2000 took 49 s
@@ -644,6 +648,34 @@ def test_level_counts_above_the_limit_exit_2_at_once(tmp_path, capsys, argv):
     assert main(argv + ["--output", str(out)]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["--grid", "150"], ["--grid", "10", "--mode", "literal"]], ids=["effective", "literal"]
+)
+def test_oracle_at_the_level_limit_is_accepted(tmp_path, argv):
+    out = tmp_path / "oracle.csv"
+    levels = ["--levels", str(quantum.MAX_LEVELS)]
+    assert main(["oracle", "--omega", "1"] + levels + argv + ["--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == (quantum.MAX_LEVELS if "literal" not in argv else 3)
+
+
+def test_oracle_grid_step_too_small_for_its_inverse_fourth_power_exits_2(tmp_path):
+    # h ~ 1e-78: h^2 is a float, 1/h^4 (the squared off-diagonal) is not; this
+    # used to print a RuntimeWarning and then "a computed value is nan"
+    out = tmp_path / "o.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(spiralbox.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiralbox.cli", "oracle", "--omega", "6.2e-246", "--length",
+         "1.07e-77", "--levels", "1", "--grid", "10", "--mode", "literal", "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"error: the grid step {1.07e-77 / 11!r} ")
     assert not out.exists()
 
 

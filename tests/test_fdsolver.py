@@ -2,6 +2,7 @@
 Laguerre eigensolver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,41 @@ def test_discretize_rejects_singular_potential_values():
         discretize(lambda s: math.inf, 1.0, 10)
     with pytest.raises(ValueError):
         discretize(zero_potential, -1.0, 10)
+
+
+@pytest.mark.parametrize(
+    "W",
+    [inverse_square(0.3), inverse_square(7.88987), lambda s: 7.5],
+    ids=["attractive", "barrier", "constant"],
+)
+def test_array_potential_gives_the_diagonal_of_a_per_node_loop(W):
+    n, length = 1000, 1.7
+    h = length / (n + 1)
+    loop = [2.0 * (1.0 / (h * h)) + W(i * h) for i in range(1, n + 1)]
+    assert discretize(W, length, n).diagonal.tolist() == loop
+
+
+def test_non_finite_potential_names_the_first_failing_node():
+    h = 1.0 / 11
+    W = lambda s: np.where(s > 0.5, np.inf, np.where(s > 0.3, np.nan, 1.0))  # noqa: E731
+    with pytest.raises(ValueError, match=re.escape(f"at node s = {4 * h!r}") + "$"):
+        discretize(W, 1.0, 10)
+    # 1e300/s overflows, without a warning, on the nodes below s = 1e-8
+    h = 1.1e-9 / 11
+    with pytest.raises(ValueError, match=re.escape(f"at node s = {h!r}") + "$"):
+        discretize(lambda s: 1e300 / s, 1.1e-9, 10)
+
+
+def test_grid_step_whose_inverse_fourth_power_overflows_is_refused():
+    # 1/h^4, the squared off-diagonal, overflows below h ~ 1.16e-77 although
+    # h^2 does not: it used to warn in the sweep and end in nan
+    h = 1.07e-77 / 11
+    with pytest.raises(ValueError, match=f"grid step {h!r}"):
+        discretize(zero_potential, 1.07e-77, 10)
+    op = discretize(zero_potential, 1.3e-77 * 11, 10)  # just above the limit
+    assert np.isfinite(eigenvalues_lowest(op, 2)).all()
+    with pytest.raises(ValueError, match="grid step 0.5"):
+        TridiagonalOperator(np.zeros(3), np.array([1.0, -2e154]), 0.5)
 
 
 # --- Sturm counts ----------------------------------------------------------------
@@ -210,6 +246,40 @@ def test_each_eigenvalue_is_certified_by_counts(diag, off):
         assert sturm_count(op, lam - delta) <= k - 1 < k <= sturm_count(op, lam + delta), k
 
 
+def _starts(dense, top, count):
+    exact = dense[:count]
+    return {
+        "exact": exact,
+        "zero": np.zeros(count),
+        "far-above": np.full(count, 10.0 * top),
+        "reversed": exact[::-1],
+        "duplicated": np.full(count, exact[-1]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["exact", "zero", "far-above", "reversed", "duplicated"])
+@pytest.mark.parametrize("diag,off", _hard_spectra())
+def test_start_is_only_a_hint(diag, off, kind):
+    op = TridiagonalOperator(diag, off, 1.0)
+    dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    bottom, top = op.gershgorin_bounds()
+    norm = max(abs(bottom), abs(top))
+    count = min(op.size, 6)
+    got = eigenvalues_lowest(op, count, start=_starts(dense, abs(top), count)[kind])
+    assert got == pytest.approx(dense[:count], rel=1e-9, abs=1e-13 * norm)
+    for k, lam in enumerate(got, start=1):
+        delta = 1e-9 * max(abs(lam), 2.220446049250313e-16 * norm)
+        assert sturm_count(op, lam - delta) <= k - 1 < k <= sturm_count(op, lam + delta), k
+
+
+@pytest.mark.parametrize("start", [[1.0], [1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 3.0],
+                                   [math.inf, 2.0, 3.0]])
+def test_start_of_the_wrong_length_or_not_finite_is_refused(start):
+    op = discretize(zero_potential, 1.0, 50)
+    with pytest.raises(ValueError, match="start"):
+        eigenvalues_lowest(op, 3, start=start)
+
+
 def test_zero_matrix_brackets_close():
     # ||T|| = 0: the stopping tolerance must not vanish with it
     got = eigenvalues_lowest(TridiagonalOperator(np.zeros(4), np.zeros(3), 1.0), 4)
@@ -231,6 +301,29 @@ def test_three_levels_at_20000_nodes_take_a_handful_of_sweeps(monkeypatch):
     assert len(sweeps) <= 40
     for n, val in enumerate(ev, start=1):
         assert val == pytest.approx(specfun.bessel_j_zero(7.88987, n) ** 2, rel=1e-6)
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.3, 1.0, 7.88987, 25.0])
+def test_fine_grid_starts_from_the_coarse_eigenvalues(monkeypatch, omega):
+    # a cold solve takes 14-17 sweeps for three levels at omega >= 1/2, and
+    # 42-51 below, from the Gershgorin bound
+    sweeps = {}
+    sweep = fdsolver._sweep
+
+    def counted(*args):
+        sweeps[len(args[0])] = sweeps.get(len(args[0]), 0) + 1
+        return sweep(*args)
+
+    monkeypatch.setattr(fdsolver, "_sweep", counted)
+    monkeypatch.setattr(fdsolver, "_sturm_count", None)
+    refined = richardson_refine(inverse_square(omega), 1.0, 3, 2000)
+    assert sweeps[4000] <= 4 * 3
+    # the same extrapolation from a cold fine solve: the two fine solves agree
+    # within their count brackets, eps ||T|| wide
+    coarse = eigenvalues_lowest(discretize(inverse_square(omega), 1.0, 2000), 3)
+    fine = eigenvalues_lowest(discretize(inverse_square(omega), 1.0, 4000), 3)
+    c2, f2 = (1.0 / 2001) ** 2, (1.0 / 4001) ** 2
+    assert refined == pytest.approx((c2 * fine - f2 * coarse) / (c2 - f2), rel=1e-8)
 
 
 def test_second_order_convergence():
