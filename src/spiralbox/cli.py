@@ -4,6 +4,9 @@ sigma/mass fitting, and analytic-vs-finite-difference oracle comparisons.
 Output files are deterministic: identical invocations produce byte-identical
 CSV/JSON/SVG (numbers at 10 significant digits, no timestamps).
 
+The argument parser is built once per process, on the first call of `main`,
+and reused by every later call.
+
 Exit codes: 0 success, 2 invalid flags (every float flag must be finite, and
 so must every number written), 3 write failure, 4 fit failure.
 """
@@ -11,6 +14,7 @@ so must every number written), 3 write failure, 4 fit failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -180,6 +184,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         )
     omega, length = args.omega, args.length
     if args.mode == "effective":
+        if args.levels > args.grid:
+            return _fail(
+                f"--levels {args.levels} is more than --grid {args.grid}: "
+                "a grid of N points has only N levels",
+                2,
+            )
         coeff = omega * omega - 0.25
         refined = fdsolver.richardson_refine(
             lambda s: coeff / (s * s), length, args.levels, args.grid
@@ -335,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", choices=("log", "linear"), default="log")
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("spectrum", help="spiral-box energy levels (atomic units)")
     p.add_argument("--sigma", type=float, required=True)
@@ -344,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wavefunction", help="normalized spiral-box eigenfunction dump")
     p.add_argument("--sigma", type=float, required=True)
@@ -353,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_wavefunction)
 
     p = sub.add_parser("oracle", help="finite-difference check of the Bessel spectrum")
     p.add_argument("--omega", type=float, required=True)
@@ -362,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=4000, help="coarse interior grid points")
     p.add_argument("--mode", choices=("effective", "literal"), default="effective")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("fit", help="fit sigma per molecule from measured wavelengths")
     p.add_argument("--molecules", required=True, help="molecule JSON file")
@@ -371,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--effective-mass", action="store_true")
     p.add_argument("--svg", default=None)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("report", help="calculated vs experimental table at fixed sigmas")
     p.add_argument("--molecules", required=True)
@@ -380,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--effective-mass", action="store_true")
     p.add_argument("--svg", default=None)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("hydrogen", help="1D bound state vs 3D radial density columns")
     p.add_argument("--n-level", type=int, required=True)
@@ -388,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--s-max", type=float, default=None)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_hydrogen)
 
     return parser
 
@@ -415,14 +418,18 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             return _fail(f"--{name.replace('_', '-')} must be finite, got {value!r}", 2)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except OSError as exc:
         return _fail(f"cannot write output: {exc}", 3)
     except ValueError as exc:

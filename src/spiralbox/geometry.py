@@ -3,11 +3,11 @@
 Closed forms exist for the two cases used by the physics layers (p = 1/2,
 the "hydrogen" spiral, and p = 1, the "polyene" spiral); a generic
 fixed-step Frenet integrator provides the independent reconstruction check
-for both.  The turning angle and the closed forms take a float or an array
-of s.  An array is evaluated in one pass that gives every point the value of
-its single-point evaluation, bit for bit: `math` takes the logs, powers,
-cosines and sines point by point, since numpy's vector versions may differ
-in the last bit.
+for both.  The curvature, the turning angle and the closed forms take a
+float or an array of s.  The curvature is numpy arithmetic.  The others
+give every point of an array the value of its single-point evaluation, bit
+for bit: `math` takes the logs, powers, cosines and sines point by point,
+since numpy's vector versions may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ __all__ = [
 
 # cap on the RK4 sub-steps of one frenet_integrate call
 _MAX_SUBSTEPS = 1_000_000
+# sub-steps integrated at a time, so memory stays O(steps + _CHUNK)
+_CHUNK = 65_536
 
 
 @dataclass(frozen=True)
@@ -50,13 +52,20 @@ class CurvatureLaw:
         if not math.isfinite(self.p):
             raise ValueError(f"p must be finite, got {self.p!r}")
 
-    def k(self, s: float) -> float:
-        if s <= 0.0:
-            raise ValueError(f"curvature law is defined for s > 0, got {s!r}")
-        try:
-            return 1.0 / (self.sigma * s**self.p)
-        except (ZeroDivisionError, OverflowError):
-            raise ValueError(f"sigma * s^p leaves the float range at s = {s!r}") from None
+    def k(self, s: float | np.ndarray) -> float | np.ndarray:
+        """1/(sigma * s^p) of one s or an array of s; an error names the first bad s."""
+        flat = np.asarray(s, dtype=float).reshape(-1)
+        ok = flat > 0.0
+        if not ok.all():
+            raise ValueError(f"curvature law is defined for s > 0, got {flat[~ok][0].item()!r}")
+        with np.errstate(over="ignore", divide="ignore"):  # refused below
+            power = flat**self.p
+            curvature = 1.0 / (self.sigma * power)
+        ok = np.isfinite(power) & np.isfinite(curvature)
+        if not ok.all():
+            bad = flat[~ok][0].item()
+            raise ValueError(f"sigma * s^p leaves the float range at s = {bad!r}")
+        return curvature.reshape(np.shape(s)) if isinstance(s, np.ndarray) else curvature.item()
 
     def turning_angle(self, s: float | np.ndarray) -> float | np.ndarray:
         """Integral of k, i.e. the tangent angle swept from the reference point.
@@ -170,22 +179,22 @@ def polyene_curve(sigma: float, s: float | np.ndarray) -> np.ndarray:
         return np.stack([amp * (c + sigma * sn), amp * (sn - sigma * c)], axis=-1)
 
 
-def frenet_integrate(
-    k: Callable[[float], float],
-    s0: float,
-    s1: float,
-    steps: int,
-) -> PlaneCurveSamples:
+def frenet_integrate(k: Callable, s0: float, s1: float, steps: int) -> PlaneCurveSamples:
     """Integrate alpha' = t, t' = k J t with classical RK4, J t = (-t_y, t_x).
 
     In the plane the normal is the tangent turned by a right angle, so the
     position and the unit tangent are the whole state.  The curve starts at
     the origin heading along +x.  Samples are recorded at `steps + 1` uniform
     arc lengths.  Within each step the integrator sub-steps so that
-    k * ds <= 0.1, which keeps the scheme in its asymptotic regime on tightly
-    wound spiral segments; the tangent is renormalized after every sub-step.
-    A curve that needs more than a million sub-steps in all is refused with
-    ValueError before any integration.
+    k * ds <= 0.1 at the step's start, which keeps the scheme in its
+    asymptotic regime on tightly wound spiral segments; the tangent is
+    renormalized after every sub-step.  A curve that needs more than a
+    million sub-steps in all is refused with ValueError before any
+    integration.  `k` is called on arrays of s, and a scalar return is broadcast.
+
+    As a complex number the tangent obeys tau' = i k tau, so a sub-step
+    multiplies tau by z(k1, k2, k4, ds) and moves the position by tau * c(...):
+    a cumulative product and a cumulative sum, over chunks of sub-steps.
     """
     if not s0 < s1:
         raise ValueError(f"need s0 < s1, got [{s0!r}, {s1!r}]")
@@ -193,61 +202,51 @@ def frenet_integrate(
         raise ValueError("steps must be a positive integer")
 
     h = (s1 - s0) / steps
-
-    def _k(s: float) -> float:
-        val = k(s)
-        if not math.isfinite(val):
-            raise ValueError(f"curvature is not finite at s = {s!r}")
-        return val
-
     # every step takes at least one sub-step, so budget + 1 steps settle it
-    sub_steps = [
-        max(1, math.ceil(min(abs(_k(s0 + i * h)) * h / 0.1, _MAX_SUBSTEPS + 1)))
-        for i in range(min(steps, _MAX_SUBSTEPS + 1))
-    ]
-    if sum(sub_steps) > _MAX_SUBSTEPS:
+    starts = s0 + np.arange(min(steps, _MAX_SUBSTEPS + 1)) * h
+    with np.errstate(over="ignore"):  # an overflow only means too many sub-steps
+        wanted = np.abs(_curvature(k, starts)) * h / 0.1
+    counts = np.maximum(1, np.ceil(np.minimum(wanted, _MAX_SUBSTEPS + 1))).astype(np.int64)
+    ends = np.cumsum(counts)  # one past each step's last sub-step
+    if ends[-1] > _MAX_SUBSTEPS:
         raise ValueError(f"the curvature needs more than {_MAX_SUBSTEPS} RK4 sub-steps")
 
-    px, py = 0.0, 0.0
-    tx, ty = 1.0, 0.0
+    begins = ends - counts
+    pts = np.zeros(steps + 1, dtype=complex)
+    tau, pos = 1.0 + 0.0j, 0.0j
+    for first in range(0, int(ends[-1]), _CHUNK):
+        stop = min(first + _CHUNK, int(ends[-1]))
+        # the steps that the chunk's sub-steps first..stop-1 belong to
+        lo, hi = np.searchsorted(ends, [first, stop - 1], side="right") + [0, 1]
+        taken = np.minimum(ends[lo:hi], stop) - np.maximum(begins[lo:hi], first)
+        step = np.repeat(np.arange(lo, hi), taken)
+        ds = h / counts[step]
+        s = starts[step] + (np.arange(first, stop) - begins[step]) * ds
+        k1, k2, k4 = (_curvature(k, s + f * ds) for f in (0.0, 0.5, 1.0))
+        t2 = 1.0 + 0.5j * k1 * ds
+        t3 = 1.0 + 0.5j * k2 * ds * t2
+        t4 = 1.0 + 1j * k2 * ds * t3
+        z = 1.0 + (1j * ds / 6.0) * (k1 + 2.0 * k2 * (t2 + t3) + k4 * t4)
+        c = (ds / 6.0) * (1.0 + 2.0 * (t2 + t3) + t4)
+        turns = np.cumprod(z / np.abs(z))
+        turns /= np.abs(turns)
+        tau_before = tau * np.concatenate(([1.0], turns[:-1]))
+        path = pos + np.cumsum(tau_before * c)
+        last = np.arange(first + 1, stop + 1) == ends[step]  # a step's last sub-step
+        pts[step[last] + 1] = path[last]
+        tau, pos = tau * turns[-1], path[-1]
 
-    s_out = np.empty(steps + 1)
-    pts = np.empty((steps + 1, 2))
-    s_out[0] = s0
-    pts[0] = (px, py)
+    s_out = s0 + np.arange(steps + 1) * h
+    return PlaneCurveSamples(s_values=s_out, points=np.stack([pts.real, pts.imag], axis=1))
 
-    for i, n_sub in enumerate(sub_steps):
-        s_cur = s0 + i * h
-        ds = h / n_sub
-        for _ in range(n_sub):
-            k1 = _k(s_cur)
-            k2 = _k(s_cur + 0.5 * ds)
-            k4 = _k(s_cur + ds)
 
-            # each stage's position slope is that stage's tangent
-            a_tx, a_ty = -k1 * ty, k1 * tx
-            tx2, ty2 = tx + 0.5 * ds * a_tx, ty + 0.5 * ds * a_ty
-            b_tx, b_ty = -k2 * ty2, k2 * tx2
-            tx3, ty3 = tx + 0.5 * ds * b_tx, ty + 0.5 * ds * b_ty
-            c_tx, c_ty = -k2 * ty3, k2 * tx3
-            tx4, ty4 = tx + ds * c_tx, ty + ds * c_ty
-            d_tx, d_ty = -k4 * ty4, k4 * tx4
-
-            w = ds / 6.0
-            px += w * (tx + 2.0 * (tx2 + tx3) + tx4)
-            py += w * (ty + 2.0 * (ty2 + ty3) + ty4)
-            tx += w * (a_tx + 2.0 * (b_tx + c_tx) + d_tx)
-            ty += w * (a_ty + 2.0 * (b_ty + c_ty) + d_ty)
-
-            inv = 1.0 / math.hypot(tx, ty)
-            tx *= inv
-            ty *= inv
-            s_cur += ds
-
-        s_out[i + 1] = s0 + (i + 1) * h
-        pts[i + 1] = (px, py)
-
-    return PlaneCurveSamples(s_values=s_out, points=pts)
+def _curvature(k: Callable, s: np.ndarray) -> np.ndarray:
+    """k on the array s, a scalar return broadcast; refuses a value that is not finite."""
+    val = np.broadcast_to(np.asarray(k(s), dtype=float), s.shape)
+    ok = np.isfinite(val)
+    if not ok.all():
+        raise ValueError(f"curvature is not finite at s = {s[~ok][0].item()!r}")
+    return val
 
 
 def curvature_of_samples(samples: PlaneCurveSamples) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Independent high-precision oracles used to freeze expected test values.
+"""Independent oracles used to freeze expected test values.
 
 The Bessel oracle is a direct power-series summation in mpmath arbitrary
 precision (never mpmath's own besselj), so it shares no code path with the
@@ -7,7 +7,10 @@ double-precision implementation under test.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
+import numpy as np
 
 
 def mp_bessel_j(nu, x, extra_dps: int = 30):
@@ -60,3 +63,37 @@ def mp_bessel_zero(nu, n, digits: int = 30):
                         hi = mid
                 return (lo + hi) / 2
         x, f_prev = x_next, f_next
+
+
+def frenet_loop(k, s0: float, s1: float, steps: int) -> np.ndarray:
+    """Points of the Frenet RK4 run, one classical sub-step at a time in floats.
+
+    The same scheme as `geometry.frenet_integrate`: k * ds <= 0.1 at each
+    step's start, the tangent renormalized after every sub-step, one point per
+    step.  Kept as the reference for the array form.
+    """
+    h = (s1 - s0) / steps
+    px, py, tx, ty = 0.0, 0.0, 1.0, 0.0
+    pts = [(px, py)]
+    for i in range(steps):
+        n_sub = max(1, math.ceil(abs(k(s0 + i * h)) * h / 0.1))
+        s_cur, ds = s0 + i * h, h / n_sub
+        for _ in range(n_sub):
+            k1, k2, k4 = k(s_cur), k(s_cur + 0.5 * ds), k(s_cur + ds)
+            a_tx, a_ty = -k1 * ty, k1 * tx
+            tx2, ty2 = tx + 0.5 * ds * a_tx, ty + 0.5 * ds * a_ty
+            b_tx, b_ty = -k2 * ty2, k2 * tx2
+            tx3, ty3 = tx + 0.5 * ds * b_tx, ty + 0.5 * ds * b_ty
+            c_tx, c_ty = -k2 * ty3, k2 * tx3
+            tx4, ty4 = tx + ds * c_tx, ty + ds * c_ty
+            d_tx, d_ty = -k4 * ty4, k4 * tx4
+            w = ds / 6.0
+            px += w * (tx + 2.0 * (tx2 + tx3) + tx4)
+            py += w * (ty + 2.0 * (ty2 + ty3) + ty4)
+            tx += w * (a_tx + 2.0 * (b_tx + c_tx) + d_tx)
+            ty += w * (a_ty + 2.0 * (b_ty + c_ty) + d_ty)
+            inv = 1.0 / math.hypot(tx, ty)
+            tx, ty = tx * inv, ty * inv
+            s_cur += ds
+        pts.append((px, py))
+    return np.array(pts)

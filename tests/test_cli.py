@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spiralbox
-from spiralbox import geometry, quantum
+from spiralbox import cli, geometry, quantum
 from spiralbox.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -193,6 +193,42 @@ def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["curve", "--sigma", "1", "--bogus", "3", "--output", str(tmp_path / "x")])
     assert err.value.code == 2
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    cli._parser.cache_clear()
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    for name in ("a.csv", "b.csv"):
+        argv = ["spectrum", "--sigma", "0.5", "--levels", "2", "--output", str(tmp_path / name)]
+        assert main(argv) == 0
+    assert len(built) == 1
+    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+
+
+def test_a_command_replaced_after_main_ran_is_the_one_that_runs(tmp_path, monkeypatch):
+    out = str(tmp_path / "s.csv")
+    assert main(["spectrum", "--sigma", "0.5", "--levels", "2", "--output", out]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_spectrum", lambda args: seen.append(args.sigma) or 7)
+    assert main(["spectrum", "--sigma", "0.25", "--output", out]) == 7
+    assert seen == [0.25]
+
+
+def test_build_parser_returns_a_new_parser_each_time():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_help_and_a_bad_flag_exit_0_and_2_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        assert "spiralbox" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as err:
+            main(["curve", "--sigma", "1", "--bogus", "3", "--output", "x"])
+        assert err.value.code == 2
 
 
 def test_missing_command_exits_2():
@@ -662,6 +698,25 @@ def test_oracle_at_the_level_limit_is_accepted(tmp_path, argv):
     assert len(rows) == (quantum.MAX_LEVELS if "literal" not in argv else 3)
 
 
+def test_oracle_levels_above_the_grid_name_both_flags(tmp_path, capsys):
+    # the internal "count must lie in 1..10, got 150" named neither flag
+    out = tmp_path / "oracle.csv"
+    argv = ["oracle", "--omega", "1", "--levels", "150", "--grid", "10", "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: --levels 150 ")
+    assert "--grid 10" in err
+    assert not out.exists()
+
+
+def test_oracle_with_as_many_levels_as_grid_points_is_accepted(tmp_path):
+    out = tmp_path / "oracle.csv"
+    argv = ["oracle", "--omega", "1", "--levels", "10", "--grid", "10", "--output", str(out)]
+    assert main(argv) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 10
+
+
 def test_oracle_grid_step_too_small_for_its_inverse_fourth_power_exits_2(tmp_path):
     # h ~ 1e-78: h^2 is a float, 1/h^4 (the squared off-diagonal) is not; this
     # used to print a RuntimeWarning and then "a computed value is nan"
@@ -701,6 +756,10 @@ def _flags(**flags):
     )
 
 
+# curvature exponents other than 1/2 and 1 take the Frenet integrator
+_FRENET_P = st.sampled_from([0, 0.3, 0.75, 1.5, 2, -0.5])
+_S = st.one_of(st.floats(1e-3, 1e3), st.floats(5e-324, 1e300))
+
 _COMMANDS = st.one_of(
     _flags(
         sigma=_FLOAT, length=_FLOAT, mass=_FLOAT, levels=st.integers(0, 3),
@@ -711,10 +770,17 @@ _COMMANDS = st.one_of(
         samples=st.integers(2, 5),
     ).map(lambda f: ["wavefunction"] + f),
     _flags(
-        sigma=_FLOAT, p=st.sampled_from([0, 0.5, 1]), s_min=_FLOAT, s_max=_FLOAT,
+        sigma=_FLOAT, p=st.one_of(st.sampled_from([0.5, 1]), _FRENET_P),
+        s_min=_FLOAT, s_max=_FLOAT,
         samples=st.integers(2, 5), spacing=st.sampled_from(["log", "linear"]),
         format=st.sampled_from(["csv", "svg"]),
     ).map(lambda f: ["curve"] + f),
+    # the Frenet route on an ordered arc-length range, out to where s^p over-
+    # and underflows
+    st.tuples(
+        _flags(sigma=_FLOAT, p=_FRENET_P, samples=st.integers(2, 5)),
+        st.lists(_S, min_size=2, max_size=2, unique=True).map(sorted),
+    ).map(lambda t: ["curve"] + t[0] + [f"--s-min={t[1][0]!r}", f"--s-max={t[1][1]!r}"]),
     _flags(
         omega=_FLOAT, length=_FLOAT, levels=st.integers(1, 2), grid=st.just(10),
         mode=st.sampled_from(["effective", "literal"]),

@@ -1,10 +1,14 @@
 """Tests for the power-law curve family and the Frenet integrator."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import frenet_loop
+from spiralbox import geometry
 from spiralbox.geometry import (
     CurvatureLaw,
     PlaneCurveSamples,
@@ -53,6 +57,34 @@ def test_curvature_law_validation():
         CurvatureLaw(1.0, math.nan)
     with pytest.raises(ValueError):
         CurvatureLaw(1.0, 1.0).k(0.0)
+
+
+@pytest.mark.parametrize(
+    "sigma,p", [(0.03, 1.0), (1.0, 0.5), (0.5, 0.75), (2.0, -0.5), (1e-3, 2.0)]
+)
+def test_curvature_of_an_array_is_within_4_ulps_of_the_float_formula(sigma, p):
+    law = CurvatureLaw(sigma, p)
+    s = log_spaced(1e-3, 1e3, 500)
+    got = law.k(s)
+    want = np.array([1.0 / (sigma * v**p) for v in s.tolist()])
+    assert got.shape == s.shape
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+    assert isinstance(law.k(2.0), float)
+    assert law.k(np.array([2.0])).tolist() == [law.k(2.0)]
+
+
+def test_curvature_of_an_array_names_the_first_failing_s():
+    with pytest.raises(ValueError, match=r"s > 0, got -2\.0$"):
+        CurvatureLaw(1.0, 0.5).k(np.array([1.0, -2.0, 0.0]))
+    with pytest.raises(ValueError, match=r"s > 0, got nan$"):
+        CurvatureLaw(1.0, 0.5).k(math.nan)
+    # s^p overflows, and sigma * s^p underflows to zero
+    with pytest.raises(ValueError, match=r"float range at s = 1e\+200$"):
+        CurvatureLaw(1.0, 2.0).k(np.array([1.0, 1e200, 1e300]))
+    with pytest.raises(ValueError, match=r"float range at s = 1e-200$"):
+        CurvatureLaw(1e-300, 0.5).k(np.array([1.0, 1e-200, 1e-300]))
+    # sigma * s^p past the largest float is a curvature of zero, as for a float s
+    assert CurvatureLaw(1e300, 1.0).k(np.array([1e10])).tolist() == [0.0]
 
 
 def test_cs_functions_p_zero_is_plain_angle():
@@ -257,6 +289,99 @@ def test_frenet_rejects_non_finite_curvature():
         frenet_integrate(lambda s: math.inf, 0.0, 1.0, 10)
     with pytest.raises(ValueError):
         frenet_integrate(lambda s: 1.0, 2.0, 1.0, 10)
+
+
+def _sub_steps(law, s0, s1, steps):
+    h = (s1 - s0) / steps
+    return int(np.maximum(1, np.ceil(law.k(s0 + np.arange(steps) * h) * h / 0.1)).sum())
+
+
+def _float_law(sigma, p):
+    # the curvature law in float arithmetic, for the per-sub-step loop
+    return lambda s: 1.0 / (sigma * s**p)
+
+
+@pytest.mark.parametrize(
+    "law,s0,s1,steps",
+    [
+        ((lambda s: 1.0), 0.0, 2.0 * math.pi, 10_000),
+        ((lambda s: 0.0), 0.0, 5.0, 100),
+        ((math.sqrt(0.0009), 1.0), 1.0, 3.0, 20_000),
+        ((1.0, 0.5), 1.0, 100.0, 40_000),
+        ((0.8, 1.0), 1.0, 3.0, 50),
+        ((0.6, 0.75), 0.7, 3.5, 2_000),  # as in the benchmark's Frenet curves
+        ((1.0, 0.0), 1e-9, 2.0 * math.pi, 4_000),
+    ],
+    ids=["circle", "line", "polyene", "hydrogen", "coarse", "p0.75", "p0"],
+)
+def test_frenet_matches_the_per_sub_step_loop(law, s0, s1, steps):
+    k, k_float = (law, law) if callable(law) else (CurvatureLaw(*law).k, _float_law(*law))
+    res = frenet_integrate(k, s0, s1, steps)
+    ref = frenet_loop(k_float, s0, s1, steps)
+    assert res.s_values.tolist() == [s0 + i * ((s1 - s0) / steps) for i in range(steps + 1)]
+    assert np.max(np.abs(res.points - ref)) <= 1e-12 * max(np.ptp(ref, axis=0))
+
+
+def test_frenet_over_several_chunks_matches_the_per_sub_step_loop():
+    law = CurvatureLaw(1e-4, 0.5)
+    assert _sub_steps(law, 0.05, 4.0, 2_000) > 3 * geometry._CHUNK
+    res = frenet_integrate(law.k, 0.05, 4.0, 2_000)
+    ref = frenet_loop(_float_law(1e-4, 0.5), 0.05, 4.0, 2_000)
+    assert np.max(np.abs(res.points - ref)) <= 1e-11 * max(np.ptp(ref, axis=0))
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_frenet_steps_longer_than_a_chunk_match_the_per_sub_step_loop(steps):
+    # 150000 sub-steps of a circle of radius 1e-3: chunk ends fall inside steps
+    res = frenet_integrate(lambda s: 1000.0, 0.0, 15.0, steps)
+    ref = frenet_loop(lambda s: 1000.0, 0.0, 15.0, steps)
+    assert np.max(np.abs(res.points - ref)) <= 1e-11 * 2e-3
+
+
+def test_frenet_near_the_sub_step_budget_is_fast_and_small():
+    law = CurvatureLaw(3.6e-5, 0.5)
+    assert 900_000 < _sub_steps(law, 0.05, 4.0, 2_000) <= 1_000_000
+    start = time.perf_counter()
+    frenet_integrate(law.k, 0.05, 4.0, 2_000)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        res = frenet_integrate(law.k, 0.05, 4.0, 2_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(res.points))
+    assert peak < 20e6
+
+
+def test_frenet_broadcasts_a_scalar_curvature_and_names_the_first_bad_s():
+    calls = []
+
+    def k(s):
+        calls.append(np.shape(s))
+        return 1.0
+
+    frenet_integrate(k, 0.0, 1.0, 10)
+    assert calls and all(shape != () for shape in calls)
+    with pytest.raises(ValueError, match=r"not finite at s = 0\.25$"):
+        frenet_integrate(lambda s: np.where(s < 0.25, 1.0, math.nan), 0.0, 1.0, 8)
+    # s^1000 overflows from s = 2.5 on, the last step's start
+    with pytest.raises(ValueError, match=r"float range at s = 2\.5$"):
+        frenet_integrate(CurvatureLaw(1e300, 1000.0).k, 0.5, 3.0, 5)
+
+
+def test_frenet_refuses_past_the_budget_before_allocating():
+    law = CurvatureLaw(3.5e-5, 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 1000000 RK4 sub-steps"):
+            frenet_integrate(law.k, 0.05, 4.0, 2_000)
+        with pytest.raises(ValueError, match="more than 1000000 RK4 sub-steps"):
+            frenet_integrate(lambda s: 0.0, 0.0, 1.0, 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 # --- curvature reconstruction ----------------------------------------------------
