@@ -186,8 +186,9 @@ def frenet_integrate(k: Callable, s0: float, s1: float, steps: int) -> PlaneCurv
     position and the unit tangent are the whole state.  The curve starts at
     the origin heading along +x.  Samples are recorded at `steps + 1` uniform
     arc lengths.  Within each step the integrator sub-steps so that
-    k * ds <= 0.1 at the step's start, which keeps the scheme in its
-    asymptotic regime on tightly wound spiral segments; the tangent is
+    |k| * ds <= 0.1 at both of the step's ends, which keeps the scheme in its
+    asymptotic regime on tightly wound spiral segments, also where |k| grows
+    along the step (p < 0 in the curvature law); the tangent is
     renormalized after every sub-step.  A curve that needs more than a
     million sub-steps in all is refused with ValueError before any
     integration.  `k` is called on arrays of s, and a scalar return is broadcast.
@@ -203,9 +204,18 @@ def frenet_integrate(k: Callable, s0: float, s1: float, steps: int) -> PlaneCurv
 
     h = (s1 - s0) / steps
     # every step takes at least one sub-step, so budget + 1 steps settle it
-    starts = s0 + np.arange(min(steps, _MAX_SUBSTEPS + 1)) * h
+    sized = min(steps, _MAX_SUBSTEPS + 1)
+    # the steps' starts, and the end of the last: s1 once every step is sized
+    edges = s0 + np.arange(sized + 1) * h
+    if sized == steps:
+        edges[-1] = s1
+    starts = edges[:-1]
     with np.errstate(over="ignore"):  # an overflow only means too many sub-steps
-        wanted = np.abs(_curvature(k, starts)) * h / 0.1
+        k_edges = np.abs(_curvature(k, edges))
+        # |k| may grow along a step (p < 0): size it by the larger end, in place
+        wanted = np.maximum(k_edges[:-1], k_edges[1:], out=k_edges[:-1])
+        wanted *= h
+        wanted /= 0.1
     counts = np.maximum(1, np.ceil(np.minimum(wanted, _MAX_SUBSTEPS + 1))).astype(np.int64)
     ends = np.cumsum(counts)  # one past each step's last sub-step
     if ends[-1] > _MAX_SUBSTEPS:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import quantum, specfun
 from .quantum import DEFAULT_UNITS, UnitSystem
@@ -109,16 +109,33 @@ class FitResult:
 
 
 class FitRangeError(ValueError):
-    """The target wavelength is outside the model's range for 0 <= omega <= the ceiling."""
+    """The target wavelength is outside the model's range for 0 <= omega <= the ceiling.
 
-    def __init__(self, name: str, target: float, attainable: tuple[float, float]):
+    `attainable` is that range in nm, (lambda at the ceiling, lambda(0)).  A
+    target at or above lambda(0) is refused on lambda(0) alone, which the
+    message names as the longest wavelength the model gives; the shorter end,
+    about half a second of Bessel zeros at omega ~ 5000, is then computed by
+    `shortest` only when `attainable` is first read.
+    """
+
+    def __init__(
+        self, name: str, target: float, longest: float, shortest: float | Callable[[], float]
+    ):
         self.name = name
         self.target = target
-        self.attainable = attainable
-        super().__init__(
-            f"{name}: lambda_exp = {target:.6g} nm is outside the attainable "
-            f"model range [{attainable[0]:.6g}, {attainable[1]:.6g}] nm"
-        )
+        self._longest = longest
+        self._shortest = shortest
+        if target >= longest:
+            where = f"at or above {longest:.6g} nm, the longest attainable model wavelength"
+        else:
+            where = f"outside the attainable model range [{shortest:.6g}, {longest:.6g}] nm"
+        super().__init__(f"{name}: lambda_exp = {target:.6g} nm is {where}")
+
+    @property
+    def attainable(self) -> tuple[float, float]:
+        if callable(self._shortest):
+            self._shortest = self._shortest()
+        return self._shortest, self._longest
 
 
 def lambda_model(
@@ -147,9 +164,10 @@ def fit_sigma(
     sigma = 1/sqrt(1 + 4 omega^2) <= 1 (sigma > 1 only repeats omega < 1/2).
     The gap j^2_{omega,n+1} - j^2_{omega,n} rises strictly with omega, so
     lambda falls from lambda(0): a target at or above it is refused after one
-    evaluation.  Otherwise doubling omega from 1 brackets the root, up to
-    omega(sigma = 1e-4) ~ 5000 (a target below lambda there is refused too),
-    and :func:`specfun.find_root` refines it until |lambda - lambda_exp| <= tol.
+    evaluation (see :class:`FitRangeError`).  Otherwise doubling omega from 1
+    brackets the root, up to omega(sigma = 1e-4) ~ 5000 (a target below lambda
+    there is refused too), and :func:`specfun.find_root` refines it until
+    |lambda - lambda_exp| <= tol.
     `iterations` counts the evaluations made after bracketing.
     """
     if mol.lambda_exp is None:
@@ -161,19 +179,20 @@ def fit_sigma(
     # cancels to 0 when lambda is far below the target
     lam: dict[float, float] = {}
 
+    def model(omega: float) -> float:
+        return lambda_model(1.0 / math.sqrt(1.0 + 4.0 * omega * omega), mol, mass, units)
+
     def excess(omega: float) -> float:
-        sigma = 1.0 / math.sqrt(1.0 + 4.0 * omega * omega)
-        lam[omega] = lambda_model(sigma, mol, mass, units)
+        lam[omega] = model(omega)
         return lam[omega] - target
 
     lo, g_lo = 0.0, excess(0.0)
     if g_lo <= 0.0:
-        excess(_OMEGA_CEILING)
-        raise FitRangeError(mol.name, target, (lam[_OMEGA_CEILING], lam[0.0]))
+        raise FitRangeError(mol.name, target, lam[0.0], lambda: model(_OMEGA_CEILING))
     hi, g_hi = 1.0, excess(1.0)
     while g_hi > 0.0:
         if hi == _OMEGA_CEILING:
-            raise FitRangeError(mol.name, target, (lam[hi], lam[0.0]))
+            raise FitRangeError(mol.name, target, lam[0.0], lam[hi])
         lo, g_lo = hi, g_hi
         hi = min(2.0 * hi, _OMEGA_CEILING)
         g_hi = excess(hi)

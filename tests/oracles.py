@@ -68,15 +68,16 @@ def mp_bessel_zero(nu, n, digits: int = 30):
 def frenet_loop(k, s0: float, s1: float, steps: int) -> np.ndarray:
     """Points of the Frenet RK4 run, one classical sub-step at a time in floats.
 
-    The same scheme as `geometry.frenet_integrate`: k * ds <= 0.1 at each
-    step's start, the tangent renormalized after every sub-step, one point per
-    step.  Kept as the reference for the array form.
+    The same scheme as `geometry.frenet_integrate`: |k| * ds <= 0.1 at both
+    ends of each step, the tangent renormalized after every sub-step, one
+    point per step.  Kept as the reference for the array form.
     """
     h = (s1 - s0) / steps
     px, py, tx, ty = 0.0, 0.0, 1.0, 0.0
     pts = [(px, py)]
     for i in range(steps):
-        n_sub = max(1, math.ceil(abs(k(s0 + i * h)) * h / 0.1))
+        end = s1 if i == steps - 1 else s0 + (i + 1) * h
+        n_sub = max(1, math.ceil(max(abs(k(s0 + i * h)), abs(k(end))) * h / 0.1))
         s_cur, ds = s0 + i * h, h / n_sub
         for _ in range(n_sub):
             k1, k2, k4 = k(s_cur), k(s_cur + 0.5 * ds), k(s_cur + ds)

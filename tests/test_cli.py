@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import frenet_loop
 import spiralbox
 from spiralbox import cli, geometry, quantum
 from spiralbox.cli import main
@@ -177,6 +178,21 @@ def test_curve_beyond_frenet_budget_exits_2_at_once(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def test_curve_with_growing_curvature_sizes_steps_at_both_ends(tmp_path):
+    # p < 0: k = s^0.5 grows to 31.6 along the one step; sized at its start,
+    # k * ds reached 100 and the end point landed at (-38579.9, -3232147.9)
+    out = tmp_path / "c.csv"
+    argv = ["curve", "--sigma", "1", "--p", "-0.5", "--s-min", "0.001", "--s-max", "1000"]
+    assert main([*argv, "--samples", "2", "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    end = np.array([float(v) for v in rows[-1][1:]])
+    ref = frenet_loop(lambda s: s**0.5, 0.001, 1000.0, 1000)  # k * h <= 0.032
+    lo, hi = ref.min(axis=0), ref.max(axis=0)
+    assert np.all(lo - 1e-6 <= end) and np.all(end <= hi + 1e-6)
+    # RK4 at k * ds <= 0.1 puts it 3.6e-4 of the extent from the reference's end
+    assert np.max(np.abs(end - ref[-1])) <= 1e-3 * np.max(hi - lo)
 
 
 @pytest.mark.parametrize("p", ["1", "0.5"])

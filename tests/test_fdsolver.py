@@ -145,6 +145,37 @@ def test_sturm_count_matches_characteristic_polynomial_signs():
             assert sturm_count(op, float(lam)) == changes
 
 
+def test_count_only_pass_equals_the_full_sweep_and_the_dense_count():
+    rng = np.random.default_rng(11)
+    cases = [(np.zeros(5), np.zeros(4))]  # every pivot is clamped at x = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        cases.append((rng.normal(scale=3.0, size=n), rng.normal(scale=2.0, size=n - 1)))
+        # small integers with decoupled blocks: a shift on a diagonal entry that
+        # starts a block (or on the first one) makes that pivot exactly zero
+        diag = rng.integers(-3, 4, size=n).astype(float)
+        off = rng.integers(-2, 3, size=n - 1).astype(float)
+        off[rng.random(n - 1) < 0.4] = 0.0
+        cases.append((diag, off))
+    for diag, off in cases:
+        off_sq = (off**2).tolist()
+        args = diag.tolist(), [0.0, *off_sq]
+        pivmin = fdsolver._pivmin(off_sq)
+        eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        delta = 1e-9 * max(1.0, np.max(np.abs(eigs)))
+        block_starts = [diag[0], *diag[1:][off == 0.0]]
+        for x in [*block_starts, 0.0, *rng.normal(scale=5.0, size=6)]:
+            below = fdsolver._count(*args, float(x), pivmin)
+            assert below == fdsolver._sweep(*args, float(x), pivmin)[0]
+            assert below == sturm_count(TridiagonalOperator(diag, off, 1.0), float(x))
+            # on a shift that is (up to rounding) an eigenvalue, either side is right
+            assert np.sum(eigs < x - delta) <= below <= np.sum(eigs < x + delta)
+            if not np.any(np.abs(eigs - x) < delta):
+                assert below == np.sum(eigs < x)
+    # the clamped pivots count as crossed
+    assert sturm_count(TridiagonalOperator(np.zeros(5), np.zeros(4), 1.0), 0.0) == 5
+
+
 def test_exact_eigenvalue_shift_is_counted():
     # hitting an eigenvalue of a principal minor used to poison the pivot:
     # 1/h^2 is an eigenvalue of the leading 2x2 block but not of the matrix
@@ -286,19 +317,26 @@ def test_zero_matrix_brackets_close():
     assert np.all(np.abs(got) < 1e-280)
 
 
+def _count_passes(monkeypatch):
+    """Count every pass over an operator, keyed by (kind, operator size)."""
+    passes = {}
+    for name, kind in (("_sweep", "full"), ("_count", "count")):
+        run = getattr(fdsolver, name)
+
+        def counted(diag, *args, run=run, kind=kind):
+            key = kind, len(diag)
+            passes[key] = passes.get(key, 0) + 1
+            return run(diag, *args)
+
+        monkeypatch.setattr(fdsolver, name, counted)
+    return passes
+
+
 def test_three_levels_at_20000_nodes_take_a_handful_of_sweeps(monkeypatch):
     # Sturm bisection took about 210 sweeps for this solve
-    sweeps = []
-    sweep = fdsolver._sweep
-
-    def counted(*args):
-        sweeps.append(args[2])
-        return sweep(*args)
-
-    monkeypatch.setattr(fdsolver, "_sweep", counted)
-    monkeypatch.setattr(fdsolver, "_sturm_count", None)  # no count-only sweeps either
+    passes = _count_passes(monkeypatch)
     ev = eigenvalues_lowest(discretize(inverse_square(7.88987), 1.0, 20_000), 3)
-    assert len(sweeps) <= 40
+    assert sum(passes.values()) <= 40
     for n, val in enumerate(ev, start=1):
         assert val == pytest.approx(specfun.bessel_j_zero(7.88987, n) ** 2, rel=1e-6)
 
@@ -307,23 +345,37 @@ def test_three_levels_at_20000_nodes_take_a_handful_of_sweeps(monkeypatch):
 def test_fine_grid_starts_from_the_coarse_eigenvalues(monkeypatch, omega):
     # a cold solve takes 14-17 sweeps for three levels at omega >= 1/2, and
     # 42-51 below, from the Gershgorin bound
-    sweeps = {}
-    sweep = fdsolver._sweep
-
-    def counted(*args):
-        sweeps[len(args[0])] = sweeps.get(len(args[0]), 0) + 1
-        return sweep(*args)
-
-    monkeypatch.setattr(fdsolver, "_sweep", counted)
-    monkeypatch.setattr(fdsolver, "_sturm_count", None)
+    passes = _count_passes(monkeypatch)
     refined = richardson_refine(inverse_square(omega), 1.0, 3, 2000)
-    assert sweeps[4000] <= 4 * 3
+    assert passes.get(("full", 4000), 0) + passes.get(("count", 4000), 0) <= 4 * 3
+    if omega >= 1.0:
+        # the first Laguerre correction from each coarse eigenvalue is below
+        # 1e-4 relative, so two counts certify its step: one sweep per level
+        assert passes[("full", 4000)] <= 3
     # the same extrapolation from a cold fine solve: the two fine solves agree
     # within their count brackets, eps ||T|| wide
     coarse = eigenvalues_lowest(discretize(inverse_square(omega), 1.0, 2000), 3)
     fine = eigenvalues_lowest(discretize(inverse_square(omega), 1.0, 4000), 3)
     c2, f2 = (1.0 / 2001) ** 2, (1.0 / 4001) ** 2
     assert refined == pytest.approx((c2 * fine - f2 * coarse) / (c2 - f2), rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [50, 1000, 10_000])
+@pytest.mark.parametrize("omega", [0.0, 0.3, 1.0, 7.89, 25.0])
+def test_every_level_is_closed_by_counts_within_twice_the_tolerance(omega, n):
+    # the solver's own tolerance: 1e-10 relative, floored at 2 eps ||T||
+    op = discretize(inverse_square(omega), 1.0, n)
+    bottom, top = op.gershgorin_bounds()
+    floor = 2.220446049250313e-16 * max(abs(bottom), abs(top))
+
+    def tol(v):
+        return max(1e-10 * abs(v), floor)
+
+    cold = eigenvalues_lowest(op, 5)
+    half = eigenvalues_lowest(discretize(inverse_square(omega), 1.0, n // 2), 5)
+    for got in (cold, eigenvalues_lowest(op, 5, start=half)):
+        for k, v in enumerate(got, start=1):
+            assert sturm_count(op, v - 2.0 * tol(v)) < k <= sturm_count(op, v + 2.0 * tol(v)), k
 
 
 def test_second_order_convergence():

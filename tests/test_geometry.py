@@ -293,7 +293,8 @@ def test_frenet_rejects_non_finite_curvature():
 
 def _sub_steps(law, s0, s1, steps):
     h = (s1 - s0) / steps
-    return int(np.maximum(1, np.ceil(law.k(s0 + np.arange(steps) * h) * h / 0.1)).sum())
+    k = np.abs(law.k(np.append(s0 + np.arange(steps) * h, s1)))
+    return int(np.maximum(1, np.ceil(np.maximum(k[:-1], k[1:]) * h / 0.1)).sum())
 
 
 def _float_law(sigma, p):

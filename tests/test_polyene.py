@@ -263,6 +263,27 @@ def test_target_at_lambda_zero_is_unreachable():
         assert 0.0 < lo < hi
 
 
+def test_target_above_lambda_zero_is_refused_after_one_evaluation(monkeypatch):
+    # lambda at the omega ~ 5000 ceiling took about 0.56 s and only filled
+    # `attainable`; the refusal needs lambda(0) alone
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return lambda_model(*args, **kwargs)
+
+    monkeypatch.setattr(polyene, "lambda_model", counted)
+    mol = make_molecule(*CHAINS[0][:3], lambda_exp=5000.0)
+    lambda_zero = lambda_model(1.0, mol)
+    with pytest.raises(FitRangeError) as err:
+        fit_sigma(mol)
+    assert calls == [1.0]  # sigma = 1: omega = 0
+    assert f"{lambda_zero:.6g} nm, the longest attainable model wavelength" in str(err.value)
+    # the shorter end is computed only when it is asked for
+    lo, hi = err.value.attainable
+    assert len(calls) == 2 and hi == lambda_zero and 0.0 < lo < hi
+
+
 def test_fit_requires_lambda_exp():
     with pytest.raises(ValueError):
         fit_sigma(ALL_MOLECULES[0])
