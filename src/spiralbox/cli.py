@@ -218,7 +218,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         ground = []
         for n_grid in grids:
             op = fdsolver.discretize(lambda s: coeff / (s * s), length, n_grid)
-            ground.append(float(fdsolver.eigenvalues_lowest(op, 1)[0]))
+            # the operator is K_N / h^2 and K_N leads K_2N, so the last ground
+            # level rescaled to this h bounds this one from above and starts
+            # its solve, moved a millionth off: on that eigenvalue of the
+            # leading block a pivot vanishes and rounding swamps the sweep's
+            # second log-derivative (at omega <= 0.2, up to 34 passes, not 6-7)
+            start = [ground[-1] * (h / op.grid_step) ** 2 * (1.0 - 1e-6)] if ground else None
+            ground.append(float(fdsolver.eigenvalues_lowest(op, 1, start=start)[0]))
+            h = op.grid_step
         _write(
             args.output,
             _table(

@@ -5,11 +5,12 @@ eigensolver that takes Laguerre steps on the LDL^T sweep, each kept inside
 a bracket proved by Sturm counts.  Two passes go over the operator: the full
 sweep, which carries the log-derivatives a Laguerre step needs, and a
 count-only pass at under a third of its time, which places the closing
-counts and serves `sturm_count`.  Richardson refinement solves a grid and
-its double; the fine solve starts each level at the coarse eigenvalue, which
-is within O(h^2) of it: at omega >= 1/2 one sweep per level and two counts
-that certify its Laguerre step, against three or four sweeps and a count or
-two per level from the Gershgorin bound.  Deliberately self-contained (no
+counts and serves `sturm_count`.  An operator converts its arrays for the
+passes once.  Richardson refinement solves a grid and its double, and only a
+pilot grid 1/16 as fine is solved cold: the coarse solve starts each level
+at the pilot's eigenvalue and the fine solve at the coarse one, where a cold
+start from the Gershgorin bound costs three or four sweeps per level at
+omega >= 1/2 and 12-15 below.  Deliberately self-contained (no
 linear-algebra library) so it can cross-validate the analytic Bessel
 spectrum without sharing any machinery with it.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +38,8 @@ _STEP_RTOL = 1e-10
 # a Laguerre correction below this, relative to the shift, lands within
 # _STEP_RTOL by cubic convergence: two counts then certify the step
 _CERT_RTOL = 1e-4
+# Richardson's pilot grid: this many times coarser than its coarse grid
+_PILOT_RATIO = 16
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,9 @@ class TridiagonalOperator:
     grid_step: float
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.diagonal, dtype=float)
-        e = np.asarray(self.off_diagonal, dtype=float)
+        # private read-only copies, so that the rows cached below cannot go stale
+        d = np.array(self.diagonal, dtype=float)
+        e = np.array(self.off_diagonal, dtype=float)
         if d.ndim != 1 or e.ndim != 1 or e.size != d.size - 1:
             raise ValueError("off-diagonal must be one entry shorter than the diagonal")
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
@@ -60,6 +65,7 @@ class TridiagonalOperator:
                 f"the grid step {self.grid_step!r} gives an off-diagonal entry {e_max!r}"
                 " whose square leaves the floating-point range"
             )
+        d.flags.writeable = e.flags.writeable = False
         object.__setattr__(self, "diagonal", d)
         object.__setattr__(self, "off_diagonal", e)
 
@@ -74,6 +80,13 @@ class TridiagonalOperator:
         radius[:-1] += e
         radius[1:] += e
         return float(np.min(d - radius)), float(np.max(d + radius))
+
+    @cached_property
+    def _rows(self) -> tuple[list[float], list[float], float]:
+        # (diag, above_sq, pivmin) as Python floats, read by every pass over the
+        # operator: built on first use and shared by all its counts and solves
+        off_sq = (self.off_diagonal**2).tolist()
+        return self.diagonal.tolist(), [0.0, *off_sq], _pivmin(off_sq)
 
 
 def discretize(
@@ -131,8 +144,8 @@ def _count(diag: Sequence[float], above_sq: Sequence[float], x: float, pivmin: f
 
 def sturm_count(op: TridiagonalOperator, lam: float) -> int:
     """Number of eigenvalues of the operator below `lam`."""
-    off_sq = (op.off_diagonal**2).tolist()
-    return _count(op.diagonal.tolist(), [0.0, *off_sq], lam, _pivmin(off_sq))
+    diag, above_sq, pivmin = op._rows
+    return _count(diag, above_sq, lam, pivmin)
 
 
 def _sweep(
@@ -201,9 +214,10 @@ def eigenvalues_lowest(
 
     Passes for three levels of the oracle potential (omega^2 - 1/4)/s^2 on
     2000-20000 nodes, full sweeps + count-only passes: from the Gershgorin
-    bound 9-12 + 4-6 at omega >= 1/2 and 38-48 + 4-6 below; from the
+    bound 9-12 + 4-6 at omega >= 1/2 and 37-48 + 4-6 below; from the
     eigenvalues of a grid half as fine, 3 + 3-6 at omega >= 1/2 and
-    5-6 + 3-6 below.
+    6 + 3-6 below; from those of a grid 1/16 as fine, 3-6 + 4-6 at every
+    omega.
     """
     if not 1 <= count <= op.size:
         raise ValueError(f"count must lie in 1..{op.size}, got {count!r}")
@@ -211,10 +225,7 @@ def eigenvalues_lowest(
         start = [float(v) for v in start]
         if len(start) != count or not all(map(math.isfinite, start)):
             raise ValueError(f"start must give {count} finite values, got {start!r}")
-    diag = op.diagonal.tolist()
-    off_sq = (op.off_diagonal**2).tolist()
-    pivmin = _pivmin(off_sq)
-    above_sq = [0.0, *off_sq]
+    diag, above_sq, pivmin = op._rows
     bottom, top = op.gershgorin_bounds()
     # positive even for the zero matrix, so that every bracket can close
     floor = max(_EPS * max(abs(bottom), abs(top)), pivmin)
@@ -325,10 +336,20 @@ def richardson_refine(
 
     Cancels the leading O(h^2) discretization error using the exact grid
     steps (they differ by slightly less than a factor two), leaving O(h^4).
-    The fine grid, two thirds of the work, is solved with the coarse
-    eigenvalues as its `start`.
+    Only a pilot grid of n_coarse // 16 nodes is solved cold; its eigenvalues
+    are the coarse solve's `start`, and the coarse eigenvalues the fine
+    solve's.  The pilot is skipped when it would have fewer than `count`
+    nodes.
+
+    Passes for three levels of the oracle potential, n_coarse 2000-10000,
+    full sweeps + count-only passes: the pilot 9-12 + 4-6 at omega >= 1/2 and
+    20-34 + 4-6 below; the coarse grid 3-6 + 4-6 (cold it took 9-12 + 4-6,
+    and 37-45 + 4-6 below 1/2); the fine grid 3 + 5-6 at omega >= 1/2 and
+    6 + 3-6 below.
     """
-    coarse = eigenvalues_lowest(discretize(W, L, n_coarse), count)
+    n_pilot = n_coarse // _PILOT_RATIO
+    pilot = eigenvalues_lowest(discretize(W, L, n_pilot), count) if n_pilot >= count else None
+    coarse = eigenvalues_lowest(discretize(W, L, n_coarse), count, start=pilot)
     fine = eigenvalues_lowest(discretize(W, L, 2 * n_coarse), count, start=coarse)
     h_c = L / (n_coarse + 1)
     h_f = L / (2 * n_coarse + 1)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from spiralbox import fdsolver, specfun
+from spiralbox import cli, fdsolver, specfun
 from spiralbox.fdsolver import (
     TridiagonalOperator,
     discretize,
@@ -174,6 +174,28 @@ def test_count_only_pass_equals_the_full_sweep_and_the_dense_count():
                 assert below == np.sum(eigs < x)
     # the clamped pivots count as crossed
     assert sturm_count(TridiagonalOperator(np.zeros(5), np.zeros(4), 1.0), 0.0) == 5
+
+
+def test_repeated_counts_on_one_operator_convert_it_once(monkeypatch):
+    # the rows every pass reads used to be rebuilt from the arrays on every count
+    conversions = []
+    pivmin = fdsolver._pivmin
+    monkeypatch.setattr(fdsolver, "_pivmin", lambda off_sq: conversions.append(1) or pivmin(off_sq))
+    rng = np.random.default_rng(17)
+    diag, off = rng.normal(scale=3.0, size=40), rng.normal(scale=2.0, size=39)
+    op = TridiagonalOperator(diag, off, 1.0)
+    eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    for lam in rng.normal(scale=5.0, size=50):
+        assert sturm_count(op, float(lam)) == np.sum(eigs < lam)
+    assert eigenvalues_lowest(op, 4) == pytest.approx(eigs[:4], rel=1e-9, abs=1e-12)
+    assert len(conversions) == 1
+    # the operator keeps read-only copies, so the rows cannot go stale
+    diag[:] = 0.0
+    assert sturm_count(op, float(eigs[0]) + 1e-9) == 1
+    with pytest.raises(ValueError):
+        op.diagonal[0] = 0.0
+    with pytest.raises(ValueError):
+        op.off_diagonal[0] = 0.0
 
 
 def test_exact_eigenvalue_shift_is_counted():
@@ -360,22 +382,102 @@ def test_fine_grid_starts_from_the_coarse_eigenvalues(monkeypatch, omega):
     assert refined == pytest.approx((c2 * fine - f2 * coarse) / (c2 - f2), rel=1e-8)
 
 
+def _tol(op, v):
+    """The solver's own tolerance: 1e-10 relative, floored at 2 eps ||T||."""
+    bottom, top = op.gershgorin_bounds()
+    return max(1e-10 * abs(v), 2.220446049250313e-16 * max(abs(bottom), abs(top)))
+
+
+def _assert_closed_by_counts(op, values):
+    for k, v in enumerate(values, start=1):
+        t = 2.0 * _tol(op, v)
+        assert sturm_count(op, v - t) < k <= sturm_count(op, v + t), (op.size, k)
+
+
 @pytest.mark.parametrize("n", [50, 1000, 10_000])
 @pytest.mark.parametrize("omega", [0.0, 0.3, 1.0, 7.89, 25.0])
 def test_every_level_is_closed_by_counts_within_twice_the_tolerance(omega, n):
-    # the solver's own tolerance: 1e-10 relative, floored at 2 eps ||T||
     op = discretize(inverse_square(omega), 1.0, n)
-    bottom, top = op.gershgorin_bounds()
-    floor = 2.220446049250313e-16 * max(abs(bottom), abs(top))
-
-    def tol(v):
-        return max(1e-10 * abs(v), floor)
-
     cold = eigenvalues_lowest(op, 5)
     half = eigenvalues_lowest(discretize(inverse_square(omega), 1.0, n // 2), 5)
     for got in (cold, eigenvalues_lowest(op, 5, start=half)):
-        for k, v in enumerate(got, start=1):
-            assert sturm_count(op, v - 2.0 * tol(v)) < k <= sturm_count(op, v + 2.0 * tol(v)), k
+        _assert_closed_by_counts(op, got)
+
+
+def _record_solves(monkeypatch):
+    """Record every eigenvalues_lowest call as (operator, start, result)."""
+    solves = []
+    solve = fdsolver.eigenvalues_lowest
+
+    def recorded(op, count, *, start=None):
+        got = solve(op, count, start=start)
+        solves.append((op, start, got))
+        return got
+
+    monkeypatch.setattr(fdsolver, "eigenvalues_lowest", recorded)
+    return solves
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.3, 1.0, 7.89, 25.0])
+def test_coarse_grid_starts_from_a_pilot_grid(monkeypatch, omega):
+    # from the Gershgorin bound the coarse solve took 14-17 passes for three
+    # levels at omega >= 1/2, and 42-51 below
+    passes = _count_passes(monkeypatch)
+    solves = _record_solves(monkeypatch)
+    richardson_refine(inverse_square(omega), 1.0, 3, 10_000)
+    assert passes.get(("full", 10_000), 0) + passes.get(("count", 10_000), 0) <= 4 * 3
+    # only the pilot, 1/16 as fine, is solved cold; every level of the warm
+    # solves is still closed by counts on its own operator
+    assert [(op.size, start is None) for op, start, _ in solves] == [
+        (625, True), (10_000, False), (20_000, False)]
+    for op, _, got in solves[1:]:
+        _assert_closed_by_counts(op, got)
+
+
+@pytest.mark.parametrize("grid", [400, 1500])
+@pytest.mark.parametrize("omega", [0.0, 0.1, 1.0, 25.0])
+def test_literal_mode_starts_each_finer_grid_from_the_last_ground_level(
+    monkeypatch, tmp_path, omega, grid
+):
+    passes = _count_passes(monkeypatch)
+    solves = _record_solves(monkeypatch)
+    argv = ["oracle", "--omega", repr(omega), "--mode", "literal", "--grid", str(grid)]
+    assert cli.main(argv + ["--output", str(tmp_path / "o.csv")]) == 0
+    assert [(op.size, start is None) for op, start, _ in solves] == [
+        (grid, True), (2 * grid, False), (4 * grid, False)]
+    warm_passes = {n: passes.get(("full", n), 0) + passes.get(("count", n), 0)
+                   for n in (2 * grid, 4 * grid)}
+    for op, _, warm in solves[1:]:
+        passes.clear()
+        cold = eigenvalues_lowest(op, 1)
+        # node-weighted, with a count-only pass weighed as a full sweep; a
+        # start right on the leading block's eigenvalue loses the sweep's H
+        # to rounding and took as many passes as a cold solve at omega <= 0.1
+        assert warm_passes[op.size] <= 8
+        assert warm_passes[op.size] < passes[("full", op.size)] + passes.get(("count", op.size), 0)
+        _assert_closed_by_counts(op, warm)
+        assert abs(warm[0] - cold[0]) <= 4.0 * _tol(op, cold[0])
+
+
+@pytest.mark.parametrize("levels,grid", [(150, 150), (3, 10), (3, 48)])
+def test_oracle_on_grids_too_small_for_the_pilot(monkeypatch, tmp_path, levels, grid):
+    # the pilot has grid // 16 nodes and is skipped when that is fewer than the
+    # levels; at --grid 48 it has just 3
+    solves = _record_solves(monkeypatch)
+    out = tmp_path / "o.csv"
+    argv = ["oracle", "--omega", "1", "--levels", str(levels), "--grid", str(grid)]
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    pilot = [grid // 16] if grid // 16 >= levels else []
+    assert [op.size for op, _, _ in solves] == pilot + [grid, 2 * grid]
+    # the extrapolation from a cold coarse solve, as before the pilot: its
+    # coarse and fine values agree within their count brackets, so the
+    # printed 10 digits stay put
+    W = inverse_square(1.0)
+    coarse = eigenvalues_lowest(discretize(W, 1.0, grid), levels)
+    fine = eigenvalues_lowest(discretize(W, 1.0, 2 * grid), levels, start=coarse)
+    c2, f2 = (1.0 / (grid + 1)) ** 2, (1.0 / (2 * grid + 1)) ** 2
+    rows = np.loadtxt(out, delimiter=",", skiprows=3, ndmin=2)
+    assert rows[:, 2] == pytest.approx((c2 * fine - f2 * coarse) / (c2 - f2), rel=1e-9)
 
 
 def test_second_order_convergence():
