@@ -26,10 +26,8 @@ from .polyene import (
     report,
 )
 from .quantum import (
-    DEFAULT_UNITS,
     ParticleInBox,
     SpiralBoxSpectrum,
-    UnitSystem,
     geometry_induced_potential,
     hydrogen_radial_3d,
     hydrogen_state_1d,

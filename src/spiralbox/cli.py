@@ -14,7 +14,9 @@ so must every number written), 3 write failure, 4 fit failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -23,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import fdsolver, geometry, polyene, quantum, specfun, svgplot
-from .quantum import DEFAULT_UNITS
 
 __all__ = ["main", "build_parser"]
 
@@ -46,20 +47,36 @@ def _fail(message: str, code: int) -> int:
 def _table(header: str, columns: list, comments: list[str]) -> str:
     """CSV text with one row per index of the columns.
 
-    Float cells are written at 10 significant digits and integer columns as
-    integers.  Every float must be finite; the error names the first one in
-    row order that is not.
+    Float cells are written at 10 significant digits, integer columns as
+    integers and string columns quoted as `csv.writer` quotes them.  A float
+    column may hold None, written as an empty cell.  Every float must be
+    finite; the error names the first one in row order that is not.
     """
     cols = [np.asarray(c) for c in columns]
-    floats = np.column_stack([c for c in cols if c.dtype.kind == "f"])
+    # a float column holding None is an object array; None passes the check
+    floats = np.column_stack([
+        np.where(np.equal(c, None), 0.0, c).astype(float) if c.dtype.kind == "O" else c
+        for c in cols
+        if c.dtype.kind in "fO"
+    ])
     bad = floats[~np.isfinite(floats)]
     if bad.size:
         _num(bad[0].item())  # raises, naming the value
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.10g" for c in cols)
+    formats = ["%d" if c.dtype.kind in "iu" else "%.10g" for c in cols]
     lines = [f"# {c}" for c in comments]
     lines.append(header)
-    lines.extend(map(row.__mod__, zip(*(c.tolist() for c in cols))))
-    return "\n".join(lines) + "\n"
+    if all(c.dtype.kind in "fiu" for c in cols):
+        row = ",".join(formats)
+        lines.extend(map(row.__mod__, zip(*(c.tolist() for c in cols))))
+        return "\n".join(lines) + "\n"
+    cells = [
+        raw if c.dtype.kind == "U" else ["" if v is None else f % v for v in c.tolist()]
+        for raw, c, f in zip(columns, cols, formats)
+    ]
+    out = io.StringIO()
+    out.write("\n".join(lines) + "\n")
+    csv.writer(out, lineterminator="\n").writerows(zip(*cells))
+    return out.getvalue()
 
 
 # --- curve ----------------------------------------------------------------
@@ -125,7 +142,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                     "n": n,
                     "bessel_zero": j,
                     "energy_hartree": e,
-                    "energy_ev": DEFAULT_UNITS.hartree_to_ev(e),
+                    "energy_ev": quantum.hartree_to_ev(e),
                 }
                 for n, (j, e) in enumerate(zip(zeros, energies), start=1)
             ],
@@ -134,7 +151,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     else:
         e = np.array(energies, dtype=float)
         with np.errstate(over="ignore"):  # the table refuses what is not finite
-            columns = [np.arange(1, e.size + 1), zeros, e, DEFAULT_UNITS.hartree_to_ev(e)]
+            columns = [np.arange(1, e.size + 1), zeros, e, quantum.hartree_to_ev(e)]
         _write(
             args.output,
             _table(
@@ -248,12 +265,22 @@ def _emit_fit_table(
     mols: list[polyene.Molecule],
     args: argparse.Namespace,
 ) -> None:
-    masses = None
+    header = "name,sigma,omega,lambda_calc_nm,lambda_exp_nm,percent_error"
+    columns = [
+        [r.name for r in rows],
+        [r.sigma for r in rows],
+        [r.omega for r in rows],
+        [r.lambda_calc for r in rows],
+        # a JSON integer stays an int; as a float it is written at 10 digits
+        [None if r.lambda_exp is None else float(r.lambda_exp) for r in rows],
+        [r.percent_error for r in rows],
+    ]
     if args.effective_mass:
-        masses = [
-            polyene.fit_effective_mass(m) if m.lambda_exp is not None else None for m in mols
-        ]
-    polyene.write_report_csv(rows, args.output, effective_masses=masses)
+        header += ",effective_mass_me"
+        columns.append(
+            [polyene.fit_effective_mass(m) if m.lambda_exp is not None else None for m in mols]
+        )
+    _write(args.output, _table(header, columns, []))
     if args.svg:
         _write(args.svg, svgplot.report_bar_chart(rows))
 

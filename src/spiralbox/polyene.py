@@ -1,5 +1,6 @@
 """Polyene chemistry layer: molecule records, sigma and effective-mass fits,
-and the calculated-vs-experimental transition report.
+and the rows of the calculated-vs-experimental transition report (the CLI
+writes them out; this module writes no files).
 
 Experimental absorption wavelengths and conjugation lengths are inputs (they
 come from published UV measurements, e.g. Christensen et al. 2008), never
@@ -9,7 +10,6 @@ files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import quantum, specfun
-from .quantum import DEFAULT_UNITS, UnitSystem
 
 __all__ = [
     "Molecule",
@@ -31,8 +30,6 @@ __all__ = [
     "fit_effective_mass",
     "report",
     "load_molecules",
-    "write_report_csv",
-    "REPORT_CSV_HEADER",
 ]
 
 # largest omega a fit may return: sigma = 1e-4, far below fitted sigmas (~0.02-0.07)
@@ -138,26 +135,19 @@ class FitRangeError(ValueError):
         return self._shortest, self._longest
 
 
-def lambda_model(
-    sigma: float, mol: Molecule, mass: float = 1.0, units: UnitSystem = DEFAULT_UNITS
-) -> float:
+def lambda_model(sigma: float, mol: Molecule, mass: float = 1.0) -> float:
     """Transition wavelength (nm) of the spiral-box spectrum at the HOMO step."""
     n = homo_index(mol)
-    length = units.nm_to_bohr(mol.box_length)
-    spectrum = quantum.spiral_box_spectrum(sigma, length, mass, n + 1, units)
-    return quantum.transition_wavelength(spectrum, n, units)
+    length = quantum.nm_to_bohr(mol.box_length)
+    spectrum = quantum.spiral_box_spectrum(sigma, length, mass, n + 1)
+    return quantum.transition_wavelength(spectrum, n)
 
 
 def _percent_error(calc: float, exp: float) -> float:
     return 100.0 * abs(calc - exp) / exp
 
 
-def fit_sigma(
-    mol: Molecule,
-    mass: float = 1.0,
-    tol: float = 1e-6,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> FitResult:
+def fit_sigma(mol: Molecule, mass: float = 1.0, tol: float = 1e-6) -> FitResult:
     """Find sigma reproducing the measured wavelength.
 
     Solves lambda(omega) = lambda_exp for omega >= 0 and reports
@@ -180,7 +170,7 @@ def fit_sigma(
     lam: dict[float, float] = {}
 
     def model(omega: float) -> float:
-        return lambda_model(1.0 / math.sqrt(1.0 + 4.0 * omega * omega), mol, mass, units)
+        return lambda_model(1.0 / math.sqrt(1.0 + 4.0 * omega * omega), mol, mass)
 
     def excess(omega: float) -> float:
         lam[omega] = model(omega)
@@ -211,7 +201,7 @@ def fit_sigma(
     )
 
 
-def fit_effective_mass(mol: Molecule, units: UnitSystem = DEFAULT_UNITS) -> float:
+def fit_effective_mass(mol: Molecule) -> float:
     """Mass (units of m_e) making the straight-box HOMO->LUMO step match lambda_exp.
 
     Closed form from inverting Delta_E = h^2 (2n+1) / (8 m L^2) = hc/lambda.
@@ -219,17 +209,14 @@ def fit_effective_mass(mol: Molecule, units: UnitSystem = DEFAULT_UNITS) -> floa
     if mol.lambda_exp is None:
         raise ValueError(f"{mol.name}: cannot fit an effective mass without lambda_exp")
     n = homo_index(mol)
-    length = units.nm_to_bohr(mol.box_length)
-    delta_e = (units.hc_ev_nm / mol.lambda_exp) / units.hartree_ev
+    length = quantum.nm_to_bohr(mol.box_length)
+    delta_e = (quantum.HC_EV_NM / mol.lambda_exp) / quantum.HARTREE_EV
     h = 2.0 * math.pi
     return h * h * (2 * n + 1) / (8.0 * length * length * delta_e)
 
 
 def report(
-    mols: Sequence[Molecule],
-    sigmas: Sequence[float],
-    mass: float = 1.0,
-    units: UnitSystem = DEFAULT_UNITS,
+    mols: Sequence[Molecule], sigmas: Sequence[float], mass: float = 1.0
 ) -> list[FitResult]:
     """Calculated-vs-experimental rows at fixed sigma per molecule.
 
@@ -239,7 +226,7 @@ def report(
         raise ValueError("need exactly one sigma per molecule")
     rows: list[FitResult] = []
     for mol, sigma in zip(mols, sigmas):
-        lam_calc = lambda_model(sigma, mol, mass, units)
+        lam_calc = lambda_model(sigma, mol, mass)
         lam_exp = mol.lambda_exp
         rows.append(
             FitResult(
@@ -254,38 +241,6 @@ def report(
             )
         )
     return rows
-
-
-REPORT_CSV_HEADER = "name,sigma,omega,lambda_calc_nm,lambda_exp_nm,percent_error"
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.10g}"
-
-
-def write_report_csv(
-    rows: Sequence[FitResult],
-    path: str | Path,
-    effective_masses: Sequence[float | None] | None = None,
-) -> None:
-    header = REPORT_CSV_HEADER.split(",")
-    if effective_masses is not None:
-        header.append("effective_mass_me")
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, r in enumerate(rows):
-            cells = [
-                r.name,
-                _fmt(r.sigma),
-                _fmt(r.omega),
-                _fmt(r.lambda_calc),
-                _fmt(r.lambda_exp),
-                _fmt(r.percent_error),
-            ]
-            if effective_masses is not None:
-                cells.append(_fmt(effective_masses[i]))
-            writer.writerow(cells)
 
 
 _MOLECULE_FIELDS = {"name", "n_pi", "box_length_nm", "lambda_exp_nm", "source"}

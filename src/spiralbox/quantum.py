@@ -6,7 +6,8 @@ straight particle-in-a-box baselines, transition wavelengths, and the 1D
 hydrogen bound states with their 3D radial counterparts.
 
 All internal arithmetic is in Hartree atomic units (hbar = m_e = 1);
-electron-volt and nanometer conversions happen only through a UnitSystem.
+electron-volts and nanometers enter only through the module constants
+HARTREE_EV, HC_EV_NM and BOHR_NM.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ import numpy as np
 from . import specfun
 
 __all__ = [
-    "UnitSystem",
-    "DEFAULT_UNITS",
+    "HARTREE_EV",
+    "HC_EV_NM",
+    "BOHR_NM",
+    "nm_to_bohr",
+    "hartree_to_ev",
     "MAX_LEVELS",
     "EnergyLevels",
     "SpiralBoxSpectrum",
@@ -42,24 +46,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Hartree atomic units plus the eV/nm conversion constants (CODATA 2018)."""
-
-    hbar: float = 1.0
-    mass_electron: float = 1.0
-    hartree_ev: float = 27.211386245988
-    hc_ev_nm: float = 1239.841984
-    bohr_nm: float = 0.0529177210903
-
-    def nm_to_bohr(self, length_nm: float) -> float:
-        return length_nm / self.bohr_nm
-
-    def hartree_to_ev(self, energy: float) -> float:
-        return energy * self.hartree_ev
+# conversion constants, CODATA 2018
+HARTREE_EV = 27.211386245988
+HC_EV_NM = 1239.841984
+BOHR_NM = 0.0529177210903
 
 
-DEFAULT_UNITS = UnitSystem()
+def nm_to_bohr(length_nm: float) -> float:
+    """Length in bohr of `length_nm` nanometers."""
+    return length_nm / BOHR_NM
+
+
+def hartree_to_ev(energy: float) -> float:
+    """Energy in eV of `energy` Hartree (a float or an array)."""
+    return energy * HARTREE_EV
 
 
 class EnergyLevels(Protocol):
@@ -68,13 +68,11 @@ class EnergyLevels(Protocol):
     def energy(self, n: int) -> float: ...
 
 
-def geometry_induced_potential(
-    k_value: float, mass: float, units: UnitSystem = DEFAULT_UNITS
-) -> float:
+def geometry_induced_potential(k_value: float, mass: float) -> float:
     """Scalar potential -hbar^2 k^2 / (8 m) felt by a particle bound to a curve."""
     if mass <= 0.0:
         raise ValueError("mass must be positive")
-    return -(units.hbar**2) * k_value * k_value / (8.0 * mass)
+    return -k_value * k_value / (8.0 * mass)
 
 
 def omega_from_sigma(sigma: float) -> float:
@@ -117,11 +115,7 @@ MAX_LEVELS = 150
 
 
 def spiral_box_spectrum(
-    sigma: float,
-    box_length: float,
-    mass: float,
-    n_levels: int,
-    units: UnitSystem = DEFAULT_UNITS,
+    sigma: float, box_length: float, mass: float, n_levels: int
 ) -> SpiralBoxSpectrum:
     """Spectrum of the spiral box with curvature k = 1/(sigma * s), length L.
 
@@ -134,7 +128,7 @@ def spiral_box_spectrum(
     omega = omega_from_sigma(sigma)
     zeros = specfun.bessel_j_zeros(omega, n_levels)
     scale = 2.0 * mass * box_length * box_length
-    pref = units.hbar**2 / scale if scale > 0.0 else math.inf
+    pref = 1.0 / scale if scale > 0.0 else math.inf
     energies = tuple(pref * j * j for j in zeros)
     if not math.isfinite(energies[-1]):
         raise ValueError(f"energies overflow at mass = {mass!r}, box_length = {box_length!r}")
@@ -200,28 +194,30 @@ def pib_closed_energy(n: int, box_length: float, mass: float) -> float:
 
 @dataclass(frozen=True)
 class ParticleInBox:
-    """Energy-level provider for the straight box, open or closed."""
+    """Energy-level provider for the straight box with hard walls."""
 
     box_length: float
     mass: float
-    closed: bool = False
 
     def energy(self, n: int) -> float:
-        if self.closed:
-            return pib_closed_energy(n, self.box_length, self.mass)
         return pib_open_energy(n, self.box_length, self.mass)
 
 
-def transition_wavelength(
-    levels: EnergyLevels, n_homo: int, units: UnitSystem = DEFAULT_UNITS
-) -> float:
-    """Photon wavelength hc / (E_{n+1} - E_n) in nanometers."""
+def transition_wavelength(levels: EnergyLevels, n_homo: int) -> float:
+    """Photon wavelength hc / (E_{n+1} - E_n) in nanometers.
+
+    A gap too large to express in eV (the wavelength would be below about
+    7e-306 nm) is refused with ValueError.
+    """
     if n_homo < 1:
         raise ValueError("n_homo must be >= 1")
     delta = levels.energy(n_homo + 1) - levels.energy(n_homo)
     if delta <= 0.0:
         raise ValueError("levels must be strictly increasing across the transition")
-    return units.hc_ev_nm / units.hartree_to_ev(delta)
+    delta_ev = hartree_to_ev(delta)
+    if not math.isfinite(delta_ev):
+        raise ValueError(f"the transition energy {delta!r} Hartree overflows in eV")
+    return HC_EV_NM / delta_ev
 
 
 # --- 1D hydrogen along the p = 1/2 spiral and the 3D radial comparison ----

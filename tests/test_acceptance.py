@@ -24,11 +24,11 @@ from spiralbox.geometry import (
 )
 from spiralbox.polyene import Molecule, fit_effective_mass, fit_sigma, lambda_model
 from spiralbox.quantum import (
-    DEFAULT_UNITS,
     ParticleInBox,
     hydrogen_radial_3d,
     hydrogen_state_1d,
     hydrogen_wavefunction_1d,
+    nm_to_bohr,
     omega_from_sigma,
     pib_closed_energy,
     pib_open_energy,
@@ -134,7 +134,7 @@ def test_criterion_5_fit_round_trips():
 
             synthetic = Molecule(mol.name, mol.n_pi, mol.box_length, 350.0, mol.source)
             mass = fit_effective_mass(synthetic)
-            box = ParticleInBox(DEFAULT_UNITS.nm_to_bohr(mol.box_length), mass)
+            box = ParticleInBox(nm_to_bohr(mol.box_length), mass)
             assert transition_wavelength(box, mol.n_pi // 2) == pytest.approx(
                 350.0, rel=1e-10
             )

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -19,15 +20,13 @@ from hypothesis import strategies as st
 
 from oracles import frenet_loop
 import spiralbox
-from spiralbox import cli, geometry, quantum
+from spiralbox import cli, geometry, polyene, quantum
 from spiralbox.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def read_csv(path):
-    import csv
-
     lines = [
         line
         for line in Path(path).read_text().splitlines()
@@ -283,7 +282,7 @@ def test_spectrum_and_wavefunction_text_match_pointwise_formatting(tmp_path):
                  "--output", str(psi_out)]) == 0
     spec = quantum.spiral_box_spectrum(sigma, 1.0, 1.0, 5)
     rows = [f"{n},{spec.zero(n):.10g},{spec.energy(n):.10g},"
-            f"{quantum.DEFAULT_UNITS.hartree_to_ev(spec.energy(n)):.10g}" for n in range(1, 6)]
+            f"{quantum.hartree_to_ev(spec.energy(n)):.10g}" for n in range(1, 6)]
     assert spec_out.read_text().splitlines()[2:] == ["n,bessel_zero,energy_hartree,energy_ev", *rows]
     s = np.linspace(0.0, 1.0, 300)
     rows = [f"{v:.10g},{quantum.spiral_box_wavefunction(spec, 3, float(v)):.10g}" for v in s]
@@ -526,6 +525,105 @@ def test_report_sigma_count_mismatch(tmp_path):
         ]
     )
     assert code == 2
+
+
+_FIT_HEADER = "name,sigma,omega,lambda_calc_nm,lambda_exp_nm,percent_error"
+
+# names csv must quote, one starting with a space, and a row with no measurement
+_ODD_RECORDS = [
+    {"name": ' a "quoted", name', "n_pi": 8, "box_length_nm": 1.39,
+     "lambda_exp_nm": 387.268385959, "source": "synthetic"},
+    {"name": " leading space", "n_pi": 10, "box_length_nm": 1.668,
+     "lambda_exp_nm": 381.67689614, "source": "synthetic"},
+    {"name": "not measured, yet", "n_pi": 12, "box_length_nm": 1.946,
+     "lambda_exp_nm": None, "source": "synthetic"},
+]
+
+
+def _csv_writer_table(rows, masses):
+    """The fit table as csv.writer writes it, every number at 10 significant digits."""
+    def cell(v):
+        return "" if v is None else f"{v:.10g}"
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_FIT_HEADER.split(",") + ["effective_mass_me"])
+    for row, mass in zip(rows, masses):
+        numbers = (row.sigma, row.omega, row.lambda_calc, row.lambda_exp, row.percent_error, mass)
+        writer.writerow([row.name, *map(cell, numbers)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_fit_and_report_tables_are_csv_writer_bytes(tmp_path, capsys, command):
+    mol_file = tmp_path / "odd.json"
+    mol_file.write_text(json.dumps(_ODD_RECORDS))
+    mols = polyene.load_molecules(mol_file)
+    if command == "fit":
+        flags = []
+        mols = [m for m in mols if m.lambda_exp is not None]
+        rows = [polyene.fit_sigma(m) for m in mols]
+    else:
+        flags = ["--sigmas", "0.05,0.04,0.03"]
+        rows = polyene.report(mols, [0.05, 0.04, 0.03])
+    masses = [polyene.fit_effective_mass(m) if m.lambda_exp is not None else None for m in mols]
+    out = tmp_path / "table.csv"
+    argv = [command, "--molecules", str(mol_file), *flags, "--effective-mass", "--output", str(out)]
+    assert main(argv) == 0
+    text = out.read_bytes().decode("utf-8")
+    assert text == _csv_writer_table(rows, masses)
+    lines = text.split("\n")
+    assert lines[1].startswith('" a ""quoted"", name",0.')
+    assert lines[2].startswith(" leading space,0.")
+    if command == "report":
+        assert lines[3].startswith('"not measured, yet",0.03,') and lines[3].endswith(",,,")
+    else:
+        assert "not measured, yet: no lambda_exp_nm, fit skipped" in capsys.readouterr().err
+
+
+def test_integer_wavelength_is_written_like_any_number(tmp_path):
+    # JSON 12345678901 loads as an int; the table prints it at 10 digits
+    mol_file = tmp_path / "int.json"
+    mol_file.write_text(json.dumps([{"name": "integer", "n_pi": 8, "box_length_nm": 1.39,
+                                     "lambda_exp_nm": 12345678901, "source": "synthetic"}]))
+    out = tmp_path / "table.csv"
+    argv = ["report", "--molecules", str(mol_file), "--sigmas", "0.05", "--output", str(out)]
+    assert main(argv) == 0
+    _, rows = read_csv(out)
+    assert rows[0][4] == "1.23456789e+10"
+
+
+@pytest.mark.parametrize("flags", [[], ["--effective-mass"]])
+def test_fit_with_every_row_skipped_writes_the_header_alone(tmp_path, flags):
+    out = tmp_path / "fits.csv"
+    argv = ["fit", "--molecules", str(DATA_DIR / "polyenes.json"), *flags, "--output", str(out)]
+    assert main(argv) == 0
+    header = _FIT_HEADER + (",effective_mass_me" if flags else "")
+    assert out.read_bytes() == f"{header}\n".encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # lambda_calc ~ 1e307 nm, so |lambda_calc - lambda_exp| / lambda_exp overflows
+        ["report", "--molecules", str(DATA_DIR / "polyenes_roundtrip.json"),
+         "--sigmas", "0.05,0.05,0.05,0.05", "--mass", "3e304"],
+        # a 1e-154 nm box: the gap overflows in eV, the wavelength would be 2e-306 nm
+        ["report", "--molecules", "tiny.json", "--sigmas", "0.05"],
+        ["fit", "--molecules", "tiny.json"],
+    ],
+    ids=["report-mass-3e304", "report-tiny-box", "fit-tiny-box"],
+)
+def test_table_beyond_the_float_range_exits_2_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, argv
+):
+    monkeypatch.chdir(tmp_path)
+    Path("tiny.json").write_text(json.dumps([{"name": "tiny", "n_pi": 8, "box_length_nm": 1e-154,
+                                              "lambda_exp_nm": 300.0, "source": "synthetic"}]))
+    assert main(argv + ["--effective-mass", "--svg", "bars.svg", "--output", "table.csv"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not Path("table.csv").exists() and not Path("bars.svg").exists()
 
 
 def test_write_failure_exits_3(tmp_path):
@@ -804,6 +902,10 @@ _COMMANDS = st.one_of(
     _flags(n_level=st.integers(1, 3), a0=_FLOAT, s_max=_FLOAT, samples=st.integers(2, 5)).map(
         lambda f: ["hydrogen"] + f
     ),
+    st.tuples(
+        _flags(mass=_FLOAT, sigmas=st.lists(_FLOAT, min_size=4, max_size=4).map(",".join)),
+        st.sampled_from([[], ["--effective-mass"]]),
+    ).map(lambda t: ["report", f"--molecules={DATA_DIR / 'polyenes_roundtrip.json'}", *t[0], *t[1]]),
 )
 
 
@@ -817,6 +919,9 @@ def _number_cells(text: str, argv: list[str]) -> list[float]:
         points = text.split('points="')[1].split('"')[0]
         return [float(v) for pair in points.split() for v in pair.split(",")]
     lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    if argv[0] == "report":
+        # the first cell is the molecule name, quoted when it holds a comma
+        return [float(cell) for row in csv.reader(lines[1:]) for cell in row[1:] if cell]
     return [float(cell) for line in lines[1:] for cell in line.split(",")]
 
 

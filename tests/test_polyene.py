@@ -9,7 +9,6 @@ import pytest
 
 from spiralbox import polyene
 from spiralbox.polyene import (
-    REPORT_CSV_HEADER,
     FitRangeError,
     Molecule,
     fit_effective_mass,
@@ -19,9 +18,8 @@ from spiralbox.polyene import (
     lambda_model,
     load_molecules,
     report,
-    write_report_csv,
 )
-from spiralbox.quantum import DEFAULT_UNITS, ParticleInBox, transition_wavelength
+from spiralbox.quantum import ParticleInBox, nm_to_bohr, transition_wavelength
 from spiralbox.specfun import bessel_j_zeros
 from spiralbox.svgplot import report_bar_chart
 
@@ -150,7 +148,7 @@ def test_lambda_model_at_table_sigma():
 
 def test_lambda_model_reduces_to_box_at_large_sigma():
     for mol in ALL_MOLECULES[:2]:
-        box = ParticleInBox(DEFAULT_UNITS.nm_to_bohr(mol.box_length), 1.0)
+        box = ParticleInBox(nm_to_bohr(mol.box_length), 1.0)
         expected = transition_wavelength(box, homo_index(mol))
         assert lambda_model(1e6, mol) == pytest.approx(expected, rel=1e-6)
 
@@ -296,7 +294,7 @@ def test_effective_mass_round_trip():
     for lam_exp in (330.0, 416.0):
         mol = make_molecule("deca-2,4,6,8-tetraene", 8, 9, lambda_exp=lam_exp)
         mass = fit_effective_mass(mol)
-        box = ParticleInBox(DEFAULT_UNITS.nm_to_bohr(mol.box_length), mass)
+        box = ParticleInBox(nm_to_bohr(mol.box_length), mass)
         assert transition_wavelength(box, homo_index(mol)) == pytest.approx(
             lam_exp, rel=1e-10
         )
@@ -327,15 +325,19 @@ def test_report_zero_errors_after_tight_fits():
         assert row.percent_error <= 1e-9
 
 
-def test_report_handles_missing_experiment_and_empty_input(tmp_path):
-    out = tmp_path / "table.csv"
+def test_report_handles_missing_experiment_and_empty_input():
+    # the table these rows make is checked byte for byte in test_cli
     rows = report([ALL_MOLECULES[0]], [0.05])
-    write_report_csv(rows, out)
     assert rows[0].lambda_exp is None and rows[0].percent_error is None
-    text = out.read_text()
-    assert text.splitlines()[0] == REPORT_CSV_HEADER
-    assert text.splitlines()[1].endswith(",,")  # blank experimental columns
     assert report([], []) == []
+
+
+def test_report_row_whose_wavelength_underflows_is_refused():
+    # a 1e-154 nm box puts the HOMO-LUMO gap near 1e307 Hartree, past the eV
+    # range; hc / inf would give 0 nm for a wavelength of about 2e-306 nm
+    mol = Molecule("tiny", 8, 1e-154, lambda_exp=300.0)
+    with pytest.raises(ValueError, match="overflows in eV"):
+        report([mol], [0.05])
 
 
 def test_report_percent_error_arithmetic():

@@ -8,12 +8,15 @@ import pytest
 
 from spiralbox import specfun
 from spiralbox.quantum import (
-    DEFAULT_UNITS,
+    HARTREE_EV,
+    HC_EV_NM,
     ParticleInBox,
     geometry_induced_potential,
+    hartree_to_ev,
     hydrogen_radial_3d,
     hydrogen_state_1d,
     hydrogen_wavefunction_1d,
+    nm_to_bohr,
     omega_from_sigma,
     pib_closed_energy,
     pib_open_energy,
@@ -226,8 +229,8 @@ def test_wavefunction_domain():
 
 
 def test_pib_one_nm_box():
-    length = DEFAULT_UNITS.nm_to_bohr(1.0)
-    energy_ev = DEFAULT_UNITS.hartree_to_ev(pib_open_energy(1, length, 1.0))
+    length = nm_to_bohr(1.0)
+    energy_ev = hartree_to_ev(pib_open_energy(1, length, 1.0))
     assert energy_ev == pytest.approx(0.376, abs=5e-4)
 
 
@@ -265,11 +268,11 @@ def test_pib_validation():
 
 
 def test_transition_wavelength_times_energy_is_hc():
-    box = ParticleInBox(DEFAULT_UNITS.nm_to_bohr(1.39), 1.0)
+    box = ParticleInBox(nm_to_bohr(1.39), 1.0)
     for n in (1, 4):
         lam = transition_wavelength(box, n)
-        delta_ev = DEFAULT_UNITS.hartree_to_ev(box.energy(n + 1) - box.energy(n))
-        assert lam * delta_ev == pytest.approx(DEFAULT_UNITS.hc_ev_nm, rel=1e-12)
+        delta_ev = hartree_to_ev(box.energy(n + 1) - box.energy(n))
+        assert lam * delta_ev == pytest.approx(HC_EV_NM, rel=1e-12)
 
 
 def test_transition_wavelength_scalings():
@@ -302,7 +305,7 @@ def test_one_hartree_transition():
 
     lam = transition_wavelength(Linear(), 1)
     assert lam == pytest.approx(45.563, abs=5e-4)
-    assert lam == pytest.approx(DEFAULT_UNITS.hc_ev_nm / DEFAULT_UNITS.hartree_ev, rel=1e-14)
+    assert lam == pytest.approx(HC_EV_NM / HARTREE_EV, rel=1e-14)
 
 
 def test_transition_rejects_degenerate_levels():
@@ -312,6 +315,21 @@ def test_transition_rejects_degenerate_levels():
 
     with pytest.raises(ValueError):
         transition_wavelength(Flat(), 1)
+
+
+def test_transition_gap_beyond_the_ev_range_is_refused():
+    class Steep:
+        def __init__(self, step: float):
+            self.step = step
+
+        def energy(self, n: int) -> float:
+            return self.step * n
+
+    # 1e307 Hartree is about 2.7e308 eV: hc / inf would read as a 0 nm wavelength
+    with pytest.raises(ValueError, match="overflows in eV"):
+        transition_wavelength(Steep(1e307), 1)
+    # a gap that still fits keeps the plain formula
+    assert transition_wavelength(Steep(1e306), 1) == HC_EV_NM / (1e306 * HARTREE_EV)
 
 
 # --- 1D hydrogen bound states -------------------------------------------------------
