@@ -43,7 +43,6 @@ from .specfun import (
     bessel_j,
     bessel_j_zero,
     laguerre,
-    log_gamma,
 )
 
 __version__ = "0.1.0"

@@ -237,10 +237,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             op = fdsolver.discretize(lambda s: coeff / (s * s), length, n_grid)
             # the operator is K_N / h^2 and K_N leads K_2N, so the last ground
             # level rescaled to this h bounds this one from above and starts
-            # its solve, moved a millionth off: on that eigenvalue of the
-            # leading block a pivot vanishes and rounding swamps the sweep's
-            # second log-derivative (at omega <= 0.2, up to 34 passes, not 6-7)
-            start = [ground[-1] * (h / op.grid_step) ** 2 * (1.0 - 1e-6)] if ground else None
+            # its solve
+            start = [ground[-1] * (h / op.grid_step) ** 2] if ground else None
             ground.append(float(fdsolver.eigenvalues_lowest(op, 1, start=start)[0]))
             h = op.grid_step
         _write(
@@ -286,7 +284,18 @@ def _emit_fit_table(
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    if not (args.mass > 0.0 and args.tol > 0.0):
+        return _fail("--mass and --tol must be positive", 2)
     mols = polyene.load_molecules(args.molecules)
+    for mol in mols:
+        # a request beyond the level cap is refused at once, not left out as a row
+        levels = polyene.homo_index(mol) + 1
+        if mol.lambda_exp is not None and levels > quantum.MAX_LEVELS:
+            return _fail(
+                f"{mol.name}: n_pi = {mol.n_pi} needs {levels} levels; "
+                f"at most {quantum.MAX_LEVELS} are computed",
+                2,
+            )
     rows: list[polyene.FitResult] = []
     kept: list[polyene.Molecule] = []
     all_fitted = True
@@ -298,8 +307,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
             continue
         try:
             result = polyene.fit_sigma(mol, mass=args.mass, tol=args.tol)
-        except polyene.FitRangeError as exc:
-            print(f"error: {exc}; row left out", file=sys.stderr)
+        except ValueError as exc:  # out of range, or beyond the float range
+            why = exc if isinstance(exc, polyene.FitRangeError) else f"{mol.name}: {exc}"
+            print(f"error: {why}; row left out", file=sys.stderr)
             all_fitted = False
             continue
         all_fitted = all_fitted and result.converged

@@ -191,9 +191,12 @@ def eigenvalues_lowest(
     and never passes a root: it goes right while fewer than k eigenvalues lie
     below x, and left only when exactly k do.  With more than k below, or
     when a step would leave the bracket that the counts have proved for
-    lam_k, the bracket is bisected instead.  Far below lam_k the steps shrink
-    only linearly, and the iteration jumps to the limit of their geometric
-    series.  Without `start`, every level starts from the sweep at the lower
+    lam_k, the bracket is bisected instead; but where H < G^2/m, which only
+    rounding can cause (a pivot nearly vanishing at x), the first such step
+    of a level or after a bisection goes 1/|G| toward lam_k, which from
+    below is Newton's step and cannot pass lam_k.  Far below lam_k the
+    steps shrink only linearly, and the iteration jumps to the limit of
+    their geometric series.  Without `start`, every level starts from the sweep at the lower
     Gershgorin bound, which is made once.
 
     `start`, one approximate value per level, is only a hint: level k then
@@ -287,6 +290,15 @@ def eigenvalues_lowest(
                     step = x - m / den
                 # rounding may carry a converged step just past the bracket
                 step = min(max(step, a), b) if a - t <= step <= b + t else math.nan
+                if math.isnan(step) and not last and g != 0.0 and m * h < g * g:
+                    # H < G^2/m never holds for real roots (Cauchy-Schwarz): a
+                    # pivot nearly vanished at x, on an eigenvalue of a leading
+                    # block, and rounding swamped H.  Step toward lam_k by Newton's
+                    # length 1/|G|, which from below is Newton's step and cannot
+                    # pass lam_k, instead of bisecting a Gershgorin-wide bracket
+                    step = x + 1.0 / abs(g) if below < k else x - 1.0 / abs(g)
+                    if not a < step < b:
+                        step = math.nan
             if hi[k] - lo[k] <= 2.0 * tol(max(abs(lo[k]), abs(hi[k]))):
                 break
             move = step - x

@@ -67,12 +67,12 @@ def _is_int(value: object) -> bool:
 
 
 def _is_positive_length(value: object) -> bool:
-    return (
-        isinstance(value, Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0.0
-    )
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value) and value > 0.0
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def homo_index(mol: Molecule) -> int:

@@ -1,5 +1,5 @@
 """Special functions built from scratch: Bessel J of real order 0 <= nu <= 1e4,
-its zeros, generalized Laguerre polynomials and log-gamma.
+its zeros and generalized Laguerre polynomials.
 
 Everything here is plain double-precision arithmetic, so that these routines
 can serve as one independent leg of the analytic-vs-finite-difference cross
@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "log_gamma",
     "bessel_j",
     "bessel_j_zero",
     "bessel_j_zeros",
@@ -28,39 +27,6 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
-
-# Lanczos approximation, g = 7, 9 terms (Godfrey's coefficients).  Relative
-# error below 1e-13 for positive real arguments, comfortably inside the
-# 1e-12 target on [0.5, 100].
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_TWO_PI = 0.9189385332046727  # ln sqrt(2*pi)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not (x > 0.0) or math.isinf(x):
-        raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum in its accurate half-plane
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    xm1 = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (xm1 + i)
-    t = xm1 + _LANCZOS_G + 0.5
-    return _LN_SQRT_TWO_PI + (xm1 + 0.5) * math.log(t) - t + math.log(acc)
 
 
 # The backward recurrence runs over about nu terms a call, so larger orders
@@ -79,7 +45,7 @@ def _bessel_series(nu: float, x: float) -> float:
     # c_0 = 1, c_{k+1} = -c_k (x/2)^2 / ((k+1)(nu+k+1)).
     half = 0.5 * x
     q = half * half
-    ln_t0 = nu * math.log(half) - log_gamma(nu + 1.0) if x > 0.0 else 0.0
+    ln_t0 = nu * math.log(half) - math.lgamma(nu + 1.0) if x > 0.0 else 0.0
     total = 1.0
     c = 1.0
     for k in range(500):
@@ -106,7 +72,7 @@ def _bessel_series_grid(nu: float, x: np.ndarray) -> np.ndarray:
     # _bessel_series at every x > 0, each point ending its own sum
     half = 0.5 * x
     q = half * half
-    ln_t0 = nu * pointwise(math.log, half) - log_gamma(nu + 1.0)
+    ln_t0 = nu * pointwise(math.log, half) - math.lgamma(nu + 1.0)
     total = np.ones(x.size)
     c = np.ones(x.size)
     live = np.arange(x.size)  # points still summing
@@ -130,18 +96,12 @@ def _miller_start(nu: float, x: float) -> int:
     return int(math.ceil(max(nu, x) + margin))
 
 
-def _miller_top_coeff(f: float, start: int) -> float:
-    # Neumann-series weight of the highest even order at or below `start`
-    k_top = start // 2
-    if f > 0.0:
-        return (f + 2.0 * k_top) * math.exp(log_gamma(f + k_top) - log_gamma(k_top + 1.0))
-    return 2.0 if k_top >= 1 else 1.0
-
-
 def _bessel_miller(nu: float, x: float) -> float:
     # Backward recurrence with the Neumann-series normalization
-    #   (x/2)^f = sum_k (f+2k) Gamma(f+k)/k! * J_{f+2k}(x),   f = frac(nu),
+    #   (x/2)^f = sum_k C_k J_{f+2k}(x),   C_k = (f+2k) Gamma(f+k)/k!,   f = frac(nu),
     # which degenerates to 1 = J_0 + 2 J_2 + 2 J_4 + ... for integer order.
+    # The weights run down from 1 at the top by the ratios C_{k-1}/C_k, so
+    # they end at C_0/C_top, and C_0 = Gamma(f+1) is known exactly.
     n_tgt = int(math.floor(nu))
     f = nu - n_tgt
     if f + 1.0 == 1.0:
@@ -150,23 +110,23 @@ def _bessel_miller(nu: float, x: float) -> float:
     start = _miller_start(nu, x)
     if start <= n_tgt + 10:
         start = n_tgt + 10
-    coeff = _miller_top_coeff(f, start)
 
     fjp1 = 0.0
     fj = 1e-30
     norm = 0.0
     tgt = 0.0
+    coeff = 1.0
     inv_x = 1.0 / x
     j = start
     while j >= 0:
         if (j & 1) == 0:
-            norm += coeff * fj
             k = j >> 1
-            if k >= 1:
-                if f > 0.0:
+            if f > 0.0:
+                norm += coeff * fj
+                if k >= 1:
                     coeff *= ((f + 2.0 * k - 2.0) * k) / ((f + 2.0 * k) * (f + k - 1.0))
-                else:
-                    coeff = 2.0 if k - 1 >= 1 else 1.0
+            else:
+                norm += (2.0 if k >= 1 else 1.0) * fj
         if j == n_tgt:
             tgt = fj
         if j > 0:
@@ -179,13 +139,14 @@ def _bessel_miller(nu: float, x: float) -> float:
                 norm *= 1e-250
                 tgt *= 1e-250
         j -= 1
-    scale = (0.5 * x) ** f if f > 0.0 else 1.0
-    return tgt * scale / norm
+    if f > 0.0:
+        return tgt * (0.5 * x) ** f * coeff / (math.gamma(f + 1.0) * norm)
+    return tgt / norm
 
 
 def _bessel_miller_grid(nu: float, x: np.ndarray) -> np.ndarray:
     # _bessel_miller at every x: one downward sweep over j, which each point
-    # joins at its own start index with its own top coefficient, and in which
+    # joins at its own start index with weight 1, and in which
     # each point rescales on its own.  Sorted by falling start, the points
     # joined so far are a prefix of the arrays.
     n_tgt = int(math.floor(nu))
@@ -206,7 +167,7 @@ def _bessel_miller_grid(nu: float, x: np.ndarray) -> np.ndarray:
     for j in range(int(starts[0]), -1, -1):
         if j in joins:
             fj[m : joins[j]] = 1e-30
-            coeff[m : joins[j]] = _miller_top_coeff(f, j)
+            coeff[m : joins[j]] = 1.0
             m = joins[j]
         fj_a = fj[:m]
         if (j & 1) == 0:
@@ -228,9 +189,11 @@ def _bessel_miller_grid(nu: float, x: np.ndarray) -> np.ndarray:
                 big = np.abs(fjm1) > 1e250
                 for v in (fj, fjp1, norm, tgt):
                     v[:m][big] *= 1e-250
-    scale = pointwise(pow, 0.5 * x[order], f) if f > 0.0 else 1.0
     out = np.empty(x.size)
-    out[order] = tgt * scale / norm
+    if f > 0.0:
+        out[order] = tgt * pointwise(pow, 0.5 * x[order], f) * coeff / (math.gamma(f + 1.0) * norm)
+    else:
+        out[order] = tgt / norm
     return out
 
 

@@ -476,6 +476,9 @@ def test_fit_writes_every_row_it_can_fit(tmp_path, capsys):
         ("box_length_nm", math.nan),
         ("lambda_exp_nm", "400"),
         ("lambda_exp_nm", math.inf),
+        # JSON integers beyond the float range, on which math.isfinite raises
+        pytest.param("box_length_nm", 10**400, id="box_length_nm-int-1e400"),
+        pytest.param("lambda_exp_nm", 10**400, id="lambda_exp_nm-int-1e400"),
     ],
 )
 def test_molecule_file_with_a_wrong_type_exits_2(tmp_path, capsys, field, value):
@@ -610,9 +613,8 @@ def test_fit_with_every_row_skipped_writes_the_header_alone(tmp_path, flags):
          "--sigmas", "0.05,0.05,0.05,0.05", "--mass", "3e304"],
         # a 1e-154 nm box: the gap overflows in eV, the wavelength would be 2e-306 nm
         ["report", "--molecules", "tiny.json", "--sigmas", "0.05"],
-        ["fit", "--molecules", "tiny.json"],
     ],
-    ids=["report-mass-3e304", "report-tiny-box", "fit-tiny-box"],
+    ids=["report-mass-3e304", "report-tiny-box"],
 )
 def test_table_beyond_the_float_range_exits_2_and_writes_nothing(
     tmp_path, capsys, monkeypatch, argv
@@ -624,6 +626,29 @@ def test_table_beyond_the_float_range_exits_2_and_writes_nothing(
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not Path("table.csv").exists() and not Path("bars.svg").exists()
+
+
+def test_fit_leaves_out_a_row_beyond_the_float_range(tmp_path, capsys, monkeypatch):
+    # a 1e-154 nm box: the gap overflows in eV, and only that row is left out
+    monkeypatch.chdir(tmp_path)
+    tiny = {"name": "tiny", "n_pi": 8, "box_length_nm": 1e-154, "lambda_exp_nm": 300.0,
+            "source": "synthetic"}
+    records = json.loads((DATA_DIR / "polyenes_roundtrip.json").read_text())
+    Path("mixed.json").write_text(json.dumps(records + [tiny]))
+    argv = ["fit", "--molecules", "mixed.json", "--effective-mass", "--svg", "bars.svg"]
+    assert main(argv + ["--output", "fits.csv"]) == 4
+    header, rows = read_csv("fits.csv")
+    assert header == (_FIT_HEADER + ",effective_mass_me").split(",")
+    assert [r[0] for r in rows] == [rec["name"] for rec in records]
+    for row, rec in zip(rows, records):
+        assert float(row[3]) == pytest.approx(rec["lambda_exp_nm"], abs=1e-6)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("error: tiny: ") and "overflows" in err[0]
+    assert Path("bars.svg").exists()
+    # with no row left, the table is the header alone
+    Path("tiny.json").write_text(json.dumps([tiny]))
+    assert main(["fit", "--molecules", "tiny.json", "--output", "alone.csv"]) == 4
+    assert Path("alone.csv").read_text() == _FIT_HEADER + "\n"
 
 
 def test_write_failure_exits_3(tmp_path):
@@ -727,6 +752,9 @@ def test_identical_invocations_are_byte_identical(tmp_path):
         ["oracle", "--omega", "1", "--length", "1e300", "--grid", "10"],  # h^2 overflows
         ["oracle", "--omega", "1e300", "--mode", "literal", "--grid", "10"],  # sigma = 0
         ["fit", "--molecules", str(DATA_DIR / "polyenes_roundtrip.json"), "--tol", "nan"],
+        # refused before any row, not left out row by row
+        ["fit", "--molecules", str(DATA_DIR / "polyenes_roundtrip.json"), "--tol", "0"],
+        ["fit", "--molecules", str(DATA_DIR / "polyenes_roundtrip.json"), "--mass", "0"],
         # Bessel orders above 1e4 are refused before any recurrence runs
         ["wavefunction", "--sigma", "1e-9", "--level", "1", "--samples", "3"],
         ["oracle", "--omega", "1e9", "--grid", "10"],

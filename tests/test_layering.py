@@ -1,0 +1,60 @@
+"""The import rule that keeps the two legs of every cross-check independent.
+
+`fdsolver` (the finite-difference oracle) takes nothing from `specfun` or
+`quantum`, `specfun` takes nothing from `fdsolver`, and no module of the
+package uses mpmath, which only the tests' extended-precision oracles may.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spiralbox"
+
+
+def _imported(path):
+    """Every dotted part of every name a file imports, or imports from.
+
+    `from .specfun import bessel_j` gives {"specfun", "bessel_j"}: more than
+    the modules, which can only make the rule stricter.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dotted = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        names.update(part for name in dotted for part in name.split(".") if part)
+    return names
+
+
+def test_the_import_reader_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import mpmath as mp\n"
+        "from . import quantum, geometry\n"
+        "from .specfun import bessel_j\n"
+        "import spiralbox.fdsolver\n"
+        "from spiralbox import svgplot\n"
+        "def f():\n"
+        "    from numpy import linalg\n"
+    )
+    got = _imported(probe)
+    assert {"mpmath", "quantum", "geometry", "specfun", "fdsolver", "svgplot", "numpy"} <= got
+
+
+@pytest.mark.parametrize(
+    "module,forbidden",
+    [("fdsolver", {"specfun", "quantum"}), ("specfun", {"fdsolver"})],
+)
+def test_the_two_legs_import_nothing_from_each_other(module, forbidden):
+    assert not _imported(SRC / f"{module}.py") & forbidden
+
+
+def test_no_package_module_imports_mpmath():
+    paths = sorted(SRC.glob("*.py"))
+    assert {p.stem for p in paths} >= {"fdsolver", "specfun", "quantum", "cli"}
+    assert [p.name for p in paths if "mpmath" in _imported(p)] == []

@@ -18,7 +18,6 @@ from spiralbox.specfun import (
     bessel_j_zeros,
     find_root,
     laguerre,
-    log_gamma,
 )
 
 # (nu, x, J_nu(x)) from the 50+-digit series oracle
@@ -124,27 +123,6 @@ ZEROS_ORACLE = [
 ]
 
 
-# --- log_gamma --------------------------------------------------------------
-
-
-def test_log_gamma_exact_points():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
-
-
-def test_log_gamma_against_libm():
-    for x in np.geomspace(0.5, 100.0, 400):
-        assert log_gamma(float(x)) == pytest.approx(math.lgamma(float(x)), rel=1e-12, abs=1e-13)
-
-
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, -0.5, math.inf):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
-
-
 # --- bessel_j ---------------------------------------------------------------
 
 
@@ -194,6 +172,33 @@ def test_bessel_small_argument_matches_oracle_to_1e_14():
         for x in np.linspace(0.25, 14.0, 56):
             x = float(x)
             assert abs(bessel_j(nu, x) - float(mp_bessel_j(nu, x))) <= 1e-14, (nu, x)
+
+
+@pytest.mark.parametrize(
+    "nu,x", [(1000.5, 1050.5), (2500.25, 2550.0), (5000.5, 5050.5), (9999.5, 10050.5)]
+)
+def test_bessel_at_large_order_matches_mpmath_to_1e_13(nu, x):
+    # a Neumann weight taken from log-gammas near k ~ 5000 would cost their
+    # ulps, a few 1e-12; mpmath's defaults do not converge at these orders
+    with mp.workdps(30):
+        ref = mp.besselj(nu, x, maxprec=60000)
+        assert abs(mp.mpf(bessel_j(nu, x)) / ref - 1) <= 1e-13
+
+
+def test_bessel_over_the_miller_range_matches_mpmath():
+    # seeded (nu, x) over nu in [0, 1e4] and the backward-recurrence branch
+    # x > max(6, sqrt(2 (nu + 1))), up to nu + 500.  Near a zero of J only
+    # the absolute error stays small, so it is measured against
+    # max(|J|, sqrt(2 / (pi x))), the envelope of J for x >> nu.  The bound
+    # is the worst over 840 such points, 2.2e-13, rounded up
+    rng = np.random.default_rng(20261019)
+    for i in range(60):
+        nu = float(rng.uniform(0.0, 1e4) if i % 2 else rng.uniform(0.0, 100.0))
+        x = float(rng.uniform(max(6.0, math.sqrt(2.0 * (nu + 1.0))), nu + 500.0))
+        with mp.workdps(30):
+            ref = mp.besselj(nu, x, maxprec=60000)
+            scale = max(abs(ref), mp.sqrt(2.0 / (mp.pi * x)))
+            assert abs(mp.mpf(bessel_j(nu, x)) - ref) <= 2.5e-13 * scale, (nu, x)
 
 
 def _bits(values):
