@@ -444,15 +444,16 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     """Rewrite `--flag -1e-05` as `--flag=-1e-05`.
 
     argparse reads a separate token that starts with '-' as an option unless
-    it looks like a plain negative decimal, so `-1e-05`, `-2E+1` or `-inf`
-    would end in "expected one argument" instead of the flag's own check.
+    it looks like a plain negative decimal, so `-1e-05`, `-2E+1`, `-inf` or
+    the list `-0.5,0.03` would end in "expected one argument" instead of the
+    flag's own check.
     """
     out: list[str] = []
     for tok in argv:
         flag = out[-1] if out else ""
         if tok.startswith("-") and flag.startswith("--") and len(flag) > 2 and "=" not in flag:
             try:
-                float(tok)
+                [float(part) for part in tok.split(",")]
             except ValueError:
                 pass
             else:

@@ -2,17 +2,15 @@
 
 Symmetric three-point discretization with Dirichlet ends plus an
 eigensolver that takes Laguerre steps on the LDL^T sweep, each kept inside
-a bracket proved by Sturm counts.  Two passes go over the operator: the full
-sweep, which carries the log-derivatives a Laguerre step needs, and a
-count-only pass at under a third of its time, which places the closing
-counts and serves `sturm_count`.  An operator converts its arrays for the
-passes once.  Richardson refinement solves a grid and its double, and only a
-pilot grid 1/16 as fine is solved cold: the coarse solve starts each level
-at the pilot's eigenvalue and the fine solve at the coarse one, where a cold
-start from the Gershgorin bound costs three or four sweeps per level at
-omega >= 1/2 and 12-15 below.  Deliberately self-contained (no
-linear-algebra library) so it can cross-validate the analytic Bessel
-spectrum without sharing any machinery with it.
+a bracket proved by Sturm counts.  Every level is closed by counts on its
+own operator, to max(2e-10 relative, 2 eps ||T||), the rounding floor of the
+pivots.  A start (an earlier grid's eigenvalue) only moves the first sweep,
+so it changes the cost of a solve and never what certifies it.  Richardson
+refinement solves a grid and its double, starting the grid from a pilot
+1/16 as fine and the double from the grid.
+Deliberately self-contained (no linear-algebra library) so it can
+cross-validate the analytic Bessel spectrum without sharing any machinery
+with it.
 """
 
 from __future__ import annotations
@@ -214,13 +212,6 @@ def eigenvalues_lowest(
     step -+ tol certify it in place of a sweep there; if they do not bracket
     lam_k, the brackets they proved stay and the iteration goes on.  The
     step is the result, and every result is certified by counts.
-
-    Passes for three levels of the oracle potential (omega^2 - 1/4)/s^2 on
-    2000-20000 nodes, full sweeps + count-only passes: from the Gershgorin
-    bound 9-12 + 4-6 at omega >= 1/2 and 37-48 + 4-6 below; from the
-    eigenvalues of a grid half as fine, 3 + 3-6 at omega >= 1/2 and
-    6 + 3-6 below; from those of a grid 1/16 as fine, 3-6 + 4-6 at every
-    omega.
     """
     if not 1 <= count <= op.size:
         raise ValueError(f"count must lie in 1..{op.size}, got {count!r}")
@@ -348,16 +339,10 @@ def richardson_refine(
 
     Cancels the leading O(h^2) discretization error using the exact grid
     steps (they differ by slightly less than a factor two), leaving O(h^4).
-    Only a pilot grid of n_coarse // 16 nodes is solved cold; its eigenvalues
-    are the coarse solve's `start`, and the coarse eigenvalues the fine
-    solve's.  The pilot is skipped when it would have fewer than `count`
-    nodes.
-
-    Passes for three levels of the oracle potential, n_coarse 2000-10000,
-    full sweeps + count-only passes: the pilot 9-12 + 4-6 at omega >= 1/2 and
-    20-34 + 4-6 below; the coarse grid 3-6 + 4-6 (cold it took 9-12 + 4-6,
-    and 37-45 + 4-6 below 1/2); the fine grid 3 + 5-6 at omega >= 1/2 and
-    6 + 3-6 below.
+    A pilot grid of n_coarse // 16 nodes gives the coarse solve its `start`,
+    and the coarse eigenvalues give the fine solve its own; the pilot is
+    skipped when it would have fewer than `count` nodes.  Each grid's levels
+    are certified by counts on that grid, whatever its start.
     """
     n_pilot = n_coarse // _PILOT_RATIO
     pilot = eigenvalues_lowest(discretize(W, L, n_pilot), count) if n_pilot >= count else None

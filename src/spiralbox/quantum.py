@@ -147,12 +147,15 @@ def spiral_box_normalization(spectrum: SpiralBoxSpectrum, n: int) -> float:
 
     Evaluated as sqrt(2) / (L |J_{omega+1}(j_n)|), which at a zero of
     J_omega equals the recurrence form sqrt(2)/(L sqrt(-J_{omega-1} J_{omega+1}))
-    while staying inside non-negative orders for omega < 1.
+    while staying inside non-negative orders for omega < 1.  At that zero
+    |J_{omega-1}| = |J_{omega+1}|, so the lower order stands in where the
+    upper one passes specfun.MAX_ORDER.
     """
     j = spectrum.zero(n)
-    return math.sqrt(2.0) / (
-        spectrum.box_length * abs(specfun.bessel_j(spectrum.omega + 1.0, j))
-    )
+    order = spectrum.omega + 1.0
+    if order > specfun.MAX_ORDER:
+        order -= 2.0
+    return math.sqrt(2.0) / (spectrum.box_length * abs(specfun.bessel_j(order, j)))
 
 
 def spiral_box_wavefunction(

@@ -3,11 +3,11 @@ its zeros and generalized Laguerre polynomials.
 
 Everything here is plain double-precision arithmetic, so that these routines
 can serve as one independent leg of the analytic-vs-finite-difference cross
-checks elsewhere in the package.  `bessel_j` of a numpy array of x runs the
-same series and recurrence over the whole grid at once: numpy does only the
-elementwise IEEE arithmetic, and `math` the logs, exponentials and powers
-point by point, so each value equals the scalar one bit for bit.  The zeros
-stay plain Python: they evaluate J at one point at a time.
+checks elsewhere in the package.  `bessel_j` runs the series and recurrence
+over a whole grid of x at once, a single x being a one-point grid: numpy
+does only the elementwise IEEE arithmetic, and `math` the logs, exponentials
+and powers point by point.  The zeros stay plain Python: they evaluate J at
+one point at a time through the scalar recurrence.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "MAX_ORDER",
     "bessel_j",
     "bessel_j_zero",
     "bessel_j_zeros",
@@ -29,33 +30,17 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 
 
-# The backward recurrence runs over about nu terms a call, so larger orders
-# would take seconds to minutes; the sigma fit stays below omega ~ 5000.
-_MAX_ORDER = 1e4
+# The backward recurrence runs over about max(nu, x) terms a call, so larger
+# orders or arguments would take seconds to minutes; the sigma fit stays below
+# omega ~ 5000, and the CLI's largest argument is about 11 410 (j_{1e4,150}).
+MAX_ORDER = 1e4
+_MAX_ARGUMENT = 2.0 * MAX_ORDER
 
 
 def _check_order(nu: float) -> float:
-    if not 0.0 <= nu <= _MAX_ORDER:
-        raise ValueError(f"Bessel order must be in [0, {_MAX_ORDER:g}], got {nu!r}")
+    if not 0.0 <= nu <= MAX_ORDER:
+        raise ValueError(f"Bessel order must be in [0, {MAX_ORDER:g}], got {nu!r}")
     return float(nu)
-
-
-def _bessel_series(nu: float, x: float) -> float:
-    # J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_k c_k,
-    # c_0 = 1, c_{k+1} = -c_k (x/2)^2 / ((k+1)(nu+k+1)).
-    half = 0.5 * x
-    q = half * half
-    ln_t0 = nu * math.log(half) - math.lgamma(nu + 1.0) if x > 0.0 else 0.0
-    total = 1.0
-    c = 1.0
-    for k in range(500):
-        c *= -q / ((k + 1.0) * (nu + k + 1.0))
-        total += c
-        if abs(c) <= 0.25 * _EPS * abs(total) and k >= 3:
-            break
-    if ln_t0 < -745.0:
-        return 0.0
-    return math.exp(ln_t0) * total
 
 
 def pointwise(fn: Callable[..., float], values: np.ndarray, *args: float) -> np.ndarray:
@@ -69,7 +54,9 @@ def pointwise(fn: Callable[..., float], values: np.ndarray, *args: float) -> np.
 
 
 def _bessel_series_grid(nu: float, x: np.ndarray) -> np.ndarray:
-    # _bessel_series at every x > 0, each point ending its own sum
+    # J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_k c_k,
+    # c_0 = 1, c_{k+1} = -c_k (x/2)^2 / ((k+1)(nu+k+1)), at every x > 0,
+    # each point ending its own sum
     half = 0.5 * x
     q = half * half
     ln_t0 = nu * pointwise(math.log, half) - math.lgamma(nu + 1.0)
@@ -88,12 +75,23 @@ def _bessel_series_grid(nu: float, x: np.ndarray) -> np.ndarray:
     return np.where(ln_t0 < -745.0, 0.0, pointwise(math.exp, ln_t0) * total)
 
 
-def _miller_start(nu: float, x: float) -> int:
+def _order_parts(nu: float) -> tuple[int, float]:
+    # integer part and fraction f of nu; below double resolution of 1, f + k - 1
+    # would vanish at k = 1, and J_f and J_0 agree to double precision
+    n = math.floor(nu)
+    f = nu - n
+    return n, (0.0 if f + 1.0 == 1.0 else f)
+
+
+def _miller_start(x: float, nu: float) -> int:
     # Down-recurrence must begin far enough above both the order and the
     # turning point that the dominant-solution contamination decays below
-    # double precision by the time the target order is reached.
-    margin = 9.0 * max(x, 1.0) ** (1.0 / 3.0) + 30.0
-    return int(math.ceil(max(nu, x) + margin))
+    # double precision by the time the target order is reached, and at least
+    # 10 above the target order.  Conditionals, not max(): the grid calls
+    # this once a point.
+    margin = 9.0 * (x if x > 1.0 else 1.0) ** (1.0 / 3.0) + 30.0
+    start, least = math.ceil((x if x > nu else nu) + margin), math.floor(nu) + 10
+    return start if start > least else least
 
 
 def _bessel_miller(nu: float, x: float) -> float:
@@ -102,22 +100,14 @@ def _bessel_miller(nu: float, x: float) -> float:
     # which degenerates to 1 = J_0 + 2 J_2 + 2 J_4 + ... for integer order.
     # The weights run down from 1 at the top by the ratios C_{k-1}/C_k, so
     # they end at C_0/C_top, and C_0 = Gamma(f+1) is known exactly.
-    n_tgt = int(math.floor(nu))
-    f = nu - n_tgt
-    if f + 1.0 == 1.0:
-        # f + k - 1 would vanish at k = 1; J_f and J_0 agree to double precision
-        f = 0.0
-    start = _miller_start(nu, x)
-    if start <= n_tgt + 10:
-        start = n_tgt + 10
-
+    n_tgt, f = _order_parts(nu)
     fjp1 = 0.0
     fj = 1e-30
     norm = 0.0
     tgt = 0.0
     coeff = 1.0
     inv_x = 1.0 / x
-    j = start
+    j = _miller_start(x, nu)
     while j >= 0:
         if (j & 1) == 0:
             k = j >> 1
@@ -149,14 +139,8 @@ def _bessel_miller_grid(nu: float, x: np.ndarray) -> np.ndarray:
     # joins at its own start index with weight 1, and in which
     # each point rescales on its own.  Sorted by falling start, the points
     # joined so far are a prefix of the arrays.
-    n_tgt = int(math.floor(nu))
-    f = nu - n_tgt
-    if f + 1.0 == 1.0:
-        f = 0.0
-    # _miller_start at every point
-    margin = 9.0 * pointwise(pow, np.maximum(x, 1.0), 1.0 / 3.0) + 30.0
-    starts = np.ceil(np.maximum(nu, x) + margin).astype(np.int64)
-    starts = np.maximum(starts, n_tgt + 10)
+    n_tgt, f = _order_parts(nu)
+    starts = pointwise(_miller_start, x, nu).astype(np.int64)
     order = np.argsort(-starts, kind="stable")
     starts = starts[order]
     inv_x = 1.0 / x[order]
@@ -197,43 +181,34 @@ def _bessel_miller_grid(nu: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bessel_j_grid(nu: float, x: np.ndarray) -> np.ndarray:
-    flat = np.asarray(x, dtype=float).reshape(-1)
-    bad = flat[~(np.isfinite(flat) & (flat >= 0.0))]
-    if bad.size:
-        raise ValueError(f"bessel_j requires finite x >= 0, got {bad[0].item()!r}")
-    out = np.where(flat == 0.0, 1.0 if nu == 0.0 else 0.0, 0.0)
-    with np.errstate(over="ignore"):  # x * x = inf is simply not <= 2 (nu + 1)
-        series = (flat > 0.0) & ((flat <= 6.0) | (flat * flat <= 2.0 * (nu + 1.0)))
-    miller = (flat > 0.0) & ~series
-    if series.any():
-        out[series] = _bessel_series_grid(nu, flat[series])
-    if miller.any():
-        out[miller] = _bessel_miller_grid(nu, flat[miller])
-    return out.reshape(np.shape(x))
-
-
 def bessel_j(nu: float, x: float | np.ndarray) -> float | np.ndarray:
-    """Bessel function of the first kind J_nu(x) for real order nu >= 0, x >= 0.
+    """Bessel function of the first kind J_nu(x) for real order 0 <= nu <= 1e4
+    and 0 <= x <= 2e4.
 
-    A numpy array of x gives the array of J_nu at every point, equal bit for
-    bit to the values of single points.  A single point takes the scalar
-    path, which costs about 1/30 of a 1-element array pass; the zero finder
-    evaluates J that way thousands of times a fit.
+    A numpy array of x gives the array of J_nu at every point, in one pass
+    over the grid; a single x is a one-point array.  One point on the
+    recurrence branch takes the scalar sweep, which the zero finder also
+    calls directly: a one-point grid pass costs 17-37 times as much.
     """
     nu = _check_order(nu)
-    if isinstance(x, np.ndarray):
-        return _bessel_j_grid(nu, x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"bessel_j requires finite x >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
+    flat = np.asarray(x, dtype=float).reshape(-1)
+    bad = flat[~((flat >= 0.0) & (flat <= _MAX_ARGUMENT))]
+    if bad.size:
+        raise ValueError(f"bessel_j requires 0 <= x <= {_MAX_ARGUMENT:g}, got {bad[0].item()!r}")
+    out = np.where(flat == 0.0, 1.0 if nu == 0.0 else 0.0, 0.0)
     # The ascending series is kept where its alternating terms stay small
     # enough not to cancel (about 5e-15 absolute at x = 6); beyond that the
     # normalized backward recurrence takes over.
-    if x <= 6.0 or x * x <= 2.0 * (nu + 1.0):
-        return _bessel_series(nu, x)
-    return _bessel_miller(nu, x)
+    series = (flat > 0.0) & ((flat <= 6.0) | (flat * flat <= 2.0 * (nu + 1.0)))
+    if series.any():
+        out[series] = _bessel_series_grid(nu, flat[series])
+    miller = np.flatnonzero((flat > 0.0) & ~series)
+    if miller.size == 1:
+        out[miller] = _bessel_miller(nu, flat[miller].item())
+    elif miller.size:
+        out[miller] = _bessel_miller_grid(nu, flat[miller])
+    out = out.reshape(np.shape(x))
+    return out if isinstance(x, np.ndarray) else out.item()
 
 
 def find_root(

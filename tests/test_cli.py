@@ -795,6 +795,20 @@ def test_negative_value_as_its_own_token_is_the_flags_value(tmp_path, capsys, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigmas", ["-inf,1,1,1", "-0.5,0.03,0.03,0.03", "-1e-05,1,1,1"])
+def test_negative_sigma_list_as_its_own_token_is_the_flags_value(tmp_path, capsys, sigmas):
+    # argparse took "-0.5,0.03,..." for an option and raised SystemExit with
+    # "expected one argument"
+    out = tmp_path / "out"
+    argv = ["report", f"--molecules={DATA_DIR / 'polyenes_roundtrip.json'}", "--output", str(out)]
+    assert main(argv + [f"--sigmas={sigmas}"]) == 2
+    joined = capsys.readouterr().err
+    assert main(argv + ["--sigmas", sigmas]) == 2
+    assert capsys.readouterr().err == joined
+    assert joined.startswith("error: ")
+    assert not out.exists()
+
+
 def _molecule_file(tmp_path, n_pi):
     mol_file = tmp_path / "big.json"
     mol_file.write_text(json.dumps([{"name": "long", "n_pi": n_pi, "box_length_nm": 1.39,
@@ -884,18 +898,66 @@ def test_bessel_order_just_below_the_limit_is_accepted(tmp_path):
     assert len(rows) == 1 and math.isfinite(float(rows[0][1]))
 
 
+def test_wavefunction_accepts_the_largest_order_that_spectrum_does(tmp_path):
+    # sigma = 5e-5 gives omega ~ 9999.99999; the normalization asked for J at
+    # order omega + 1, above the order cap, and the command exited 2
+    out = tmp_path / "psi.csv"
+    argv = ["wavefunction", "--sigma", "5e-5", "--level", "1", "--samples", "5"]
+    assert main(argv + ["--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 5 and all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
 _FLOAT = st.one_of(
-    st.floats(min_value=1e-3, max_value=1e3),
-    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, -2.5e-3, 5e-324, 1e300]),
-).map(repr)
+    st.floats(min_value=1e-3, max_value=1e3).map(repr),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, -2.5e-3, 5e-324, 1e300]).map(repr),
+    # exponent forms, some of which argparse would take for an option
+    st.sampled_from(["-1e-05", "-.5e3", "-2E+1", "2.5E+2", "1e-3"]),
+)
 
 
 def _flags(**flags):
-    # --flag=value; a separate negative token is covered by
-    # test_negative_value_as_its_own_token_is_the_flags_value
-    return st.fixed_dictionaries(flags).map(
-        lambda d: [f"--{name.replace('_', '-')}={value}" for name, value in d.items()]
-    )
+    # --flag=value, or --flag value as two tokens in a share of the examples
+    def tokens(values, split):
+        out = []
+        for name, value in values.items():
+            flag = f"--{name.replace('_', '-')}"
+            out += [flag, str(value)] if split else [f"{flag}={value}"]
+        return out
+
+    return st.builds(tokens, st.fixed_dictionaries(flags), st.booleans())
+
+
+def _fit_command(flags, effective, rows):
+    # fit on a generated molecule file: lambda_exp_nm null, near lambda(sigma)
+    # at the drawn mass for sigma in [0.01, 1] (omega <= 50, where a fit takes
+    # milliseconds), or above lambda(0), which is out of range
+    mass = float(_option(flags, "--mass"))
+    scale = mass if 0.0 < mass < math.inf else 1.0
+    records = []
+    for i, (n_pi, box, sigma, factor) in enumerate(rows):
+        mol = polyene.Molecule(f"m{i}", n_pi, box, None, "generated")
+        lam = None if sigma is None else scale * factor * polyene.lambda_model(sigma, mol)
+        records.append({"name": mol.name, "n_pi": n_pi, "box_length_nm": box,
+                        "lambda_exp_nm": lam, "source": mol.source})
+    return ["fit", *flags, *effective], records
+
+
+_FIT = st.builds(
+    _fit_command,
+    _flags(mass=_FLOAT, tol=_FLOAT),
+    st.sampled_from([[], ["--effective-mass"]]),
+    st.lists(
+        st.tuples(
+            st.sampled_from([2, 4, 6, 8, 10]),
+            st.floats(0.5, 3.0),
+            st.one_of(st.floats(0.01, 1.0), st.just(1.0), st.none()),
+            st.one_of(st.floats(0.9, 1.1), st.floats(1.01, 2.0)),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
 
 
 # curvature exponents other than 1/2 and 1 take the Frenet integrator
@@ -937,36 +999,56 @@ _COMMANDS = st.one_of(
 )
 
 
+def _option(argv: list[str], name: str) -> str | None:
+    # the value of `name`, given as --name=value or as --name value
+    for i, tok in enumerate(argv):
+        if tok == name:
+            return argv[i + 1]
+        if tok.startswith(f"{name}="):
+            return tok[len(name) + 1 :]
+    return None
+
+
 def _number_cells(text: str, argv: list[str]) -> list[float]:
-    if "--format=json" in argv:
+    fmt = _option(argv, "--format")
+    if fmt == "json":
         payload = json.loads(text)  # Infinity and NaN parse to floats too
         levels = payload.pop("levels")
         values = list(payload.values()) + [v for lv in levels for v in lv.values()]
         return [float(v) for v in values]
-    if "--format=svg" in argv:
+    if fmt == "svg":
         points = text.split('points="')[1].split('"')[0]
         return [float(v) for pair in points.split() for v in pair.split(",")]
     lines = [line for line in text.splitlines() if line and not line.startswith("#")]
-    if argv[0] == "report":
+    if argv[0] in ("report", "fit"):
         # the first cell is the molecule name, quoted when it holds a comma
         return [float(cell) for row in csv.reader(lines[1:]) for cell in row[1:] if cell]
     return [float(cell) for line in lines[1:] for cell in line.split(",")]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(argv=_COMMANDS)
-def test_float_flags_give_finite_cells_or_exit_2(argv):
+@given(command=st.one_of(_FIT, _COMMANDS.map(lambda argv: (argv, None))))
+def test_float_flags_give_finite_cells_or_exit_2(command):
+    argv, records = command
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
+        if records is not None:
+            molecules = Path(tmp) / "molecules.json"
+            molecules.write_text(json.dumps(records))
+            argv = argv + [f"--molecules={molecules}"]
         err = io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stderr(err):
             code = main(argv + ["--output", str(out)])
         assert time.perf_counter() - start < 2.0, argv
-        assert code in (0, 2), argv
-        if code == 0:
+        # a fit leaves out a row it cannot fit and exits 4
+        assert code in ((0, 2, 4) if argv[0] == "fit" else (0, 2)), argv
+        lines = err.getvalue().splitlines()
+        assert all(line.startswith(("error: ", "warning: ")) for line in lines), argv
+        if code in (0, 4):
             cells = _number_cells(out.read_text(), argv)
             assert all(math.isfinite(v) for v in cells), argv
-        else:
-            assert err.getvalue().startswith("error: "), argv
+        if code != 0:
+            assert lines[-1].startswith("error: "), argv
+        if code == 2:
             assert not out.exists(), argv

@@ -461,3 +461,55 @@ def test_radial_norm_by_mpmath_quadrature(n, ell):
     edges = np.linspace(0.0, 10.0 * n * n, n + 1).tolist()
     total = mp.quad(lambda r: float(r) ** 2 * hydrogen_radial_3d(n, ell, float(r)) ** 2, edges)
     assert float(total) == pytest.approx(1.0, abs=1e-10)
+
+
+def _mp_state_1d(n, a0, s):
+    z = 2 * mp.mpf(s) / (n * mp.mpf(a0))
+    return mp.exp(-z / 2) * z * mp.laguerre(n - 1, 1, z) / mp.sqrt(n**3 * mp.mpf(a0))
+
+
+def test_hydrogen_closed_forms_match_mpmath_at_seeded_states():
+    # seeded n over 1..241 (the largest n whose samples stay finite at the
+    # CLI's default s up to 4 n^2 a0), ell below 40, a0 over [e^-3, e^3];
+    # the error is measured against the largest |value| of a 400-point
+    # sample of the state.  The bound is the worst of these 24 points,
+    # 3.5e-15, rounded up; 120 seeded states gave 5.4e-15
+    rng = np.random.default_rng(20261022)
+    for i in range(8):
+        n = int(rng.integers(1, 242))
+        a0 = float(math.exp(rng.uniform(-3.0, 3.0)))
+        ell = int(rng.integers(0, min(n, 40))) if i % 2 else 0
+        if i % 2:
+            got = lambda r: hydrogen_radial_3d(n, ell, r, a0)
+            want = lambda r: _mp_radial(n, ell, a0, r)
+        else:
+            state = hydrogen_state_1d(n, a0)
+            got = lambda r: hydrogen_wavefunction_1d(state, r)
+            want = lambda r: _mp_state_1d(n, a0, r)
+        top = 4.0 * n * n * a0
+        peak = max(abs(got(float(r))) for r in np.linspace(top / 400, top, 400))
+        for r in rng.uniform(0.0, top, 3):
+            with mp.workdps(40):
+                assert abs(got(float(r)) - want(float(r))) <= 4e-15 * peak, (n, ell, a0, r)
+
+
+def test_wavefunction_norm_matches_lommels_integral():
+    # int_0^L psi_n^2 ds = c1^2 L^2 (J_w'(j)^2 + (1 - w^2/j^2) J_w(j)^2) / 2
+    # (Lommel), in mpmath at our zero j_n and our c1, so the zero's error
+    # counts too.  Seeded sigma in [3e-4, 10] (omega up to about 1600, where
+    # mpmath stays fast), n up to 150 at omega < 30.  The bound is the worst
+    # of these 16 points, 1.5e-13, rounded up; 100 seeded points over
+    # omega <= 1e4 gave 1.5e-12, growing with omega
+    rng = np.random.default_rng(20261023)
+    for _ in range(16):
+        sigma = float(math.exp(rng.uniform(math.log(3e-4), math.log(10.0))))
+        length = float(math.exp(rng.uniform(-3.0, 3.0)))
+        n = int(rng.integers(1, 151 if omega_from_sigma(sigma) < 30.0 else 6))
+        spec = spiral_box_spectrum(sigma, length, 1.0, n)
+        c1, j = spiral_box_normalization(spec, n), spec.zero(n)
+        with mp.workdps(30):
+            w, x = mp.mpf(spec.omega), mp.mpf(j)
+            bessel = mp.besselj(w, x, maxprec=60000)
+            slope = mp.besselj(w, x, derivative=1, maxprec=60000)
+            norm = (c1 * length) ** 2 * (slope**2 + (1 - w**2 / x**2) * bessel**2) / 2
+            assert abs(norm - 1) <= 2e-13, (sigma, n)

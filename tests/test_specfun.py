@@ -6,6 +6,7 @@ the double-precision code paths under test).
 """
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -199,6 +200,54 @@ def test_bessel_over_the_miller_range_matches_mpmath():
             ref = mp.besselj(nu, x, maxprec=60000)
             scale = max(abs(ref), mp.sqrt(2.0 / (mp.pi * x)))
             assert abs(mp.mpf(bessel_j(nu, x)) - ref) <= 2.5e-13 * scale, (nu, x)
+
+
+# (nu, x, J_nu(x)) on nu + 500 < x <= 2e4, from mp.besselj(..., maxprec=...)
+# at 30 digits; seeded (numpy seed 20261020, nu alternately in [0, 100] and
+# [0, 1e4]), then the far corners of the accepted range and the worst of 77
+# such points
+BESSEL_FAR_ORACLE = [
+    (86.98769984421325, 3188.006754818027, -0.00402890212157347),
+    (8604.304279333832, 13164.789992966671, 0.0077317264511886883),
+    (71.3580529476669, 17984.992832165062, -0.0057487233594649993),
+    (905.7402317441677, 18428.100572773154, 0.0048953273708611468),
+    (22.898907143228232, 14790.337286140842, 0.0050973663862270913),
+    (9956.3371271489, 14184.176568726352, -0.0044129631160048988),
+    (27.293160927479075, 10517.48349587569, 0.0076117502664943975),
+    (5454.987944457115, 14081.382590657226, -0.0051627700529878611),
+    (76.48101092859952, 13406.804712522073, -0.0065708029264821947),
+    (5324.596282136951, 13929.87087450544, 0.0005105067951014101),
+    (35.89030759881871, 14948.79482386456, 0.005640558464671509),
+    (6840.123986484878, 7938.04889478413, -0.011086398526319934),
+    (6.499181209417526, 8177.964040219403, 0.003453850380949426),
+    (3874.5319785297415, 9848.042897263416, -0.0078971842114316725),
+    (70.42087679028788, 12553.35579158969, 0.00089954240783933625),
+    (9175.266084417306, 14617.033558173867, 0.0074266934348141676),
+    (0.0, 20000.0, 0.0055659749049549462),
+    (0.5, 19999.0, -0.0020866296839277681),
+    (10000.0, 20000.0, 0.0036495100485577519),
+    (7579.510023564281, 14191.845244539858, 0.00032290521742405012),
+]
+
+
+def test_bessel_beyond_nu_plus_500_matches_frozen_mpmath():
+    # the recurrence runs over about x terms here, and its rounding grows with
+    # them; measured against max(|J|, sqrt(2 / (pi x))) as above.  The bound
+    # is the worst of these points, 2.03e-12, rounded up
+    for nu, x, ref in BESSEL_FAR_ORACLE:
+        scale = max(abs(ref), math.sqrt(2.0 / (math.pi * x)))
+        assert abs(bessel_j(nu, x) - ref) <= 2.1e-12 * scale, (nu, x)
+
+
+def test_bessel_refuses_an_argument_above_its_cap_at_once():
+    # the recurrence runs over about x terms: x = 1e300 never returned, and
+    # an array [1e19] overflowed the int64 start index into [-1.]
+    for x in (3e4, np.array([1e19]), 1e300, np.array([1.0, 1e300])):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="x <= 20000"):
+            bessel_j(0.0, x)
+        assert time.perf_counter() - start < 0.1
+    assert math.isfinite(bessel_j(0.0, 2e4))
 
 
 def _bits(values):
