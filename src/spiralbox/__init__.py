@@ -30,7 +30,6 @@ from .quantum import (
     SpiralBoxSpectrum,
     geometry_induced_potential,
     hydrogen_radial_3d,
-    hydrogen_state_1d,
     hydrogen_wavefunction_1d,
     omega_from_sigma,
     pib_closed_energy,

@@ -13,6 +13,7 @@ HARTREE_EV, HC_EV_NM and BOHR_NM.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 from typing import Protocol, Sequence
@@ -31,7 +32,6 @@ __all__ = [
     "EnergyLevels",
     "SpiralBoxSpectrum",
     "ParticleInBox",
-    "HydrogenState1D",
     "geometry_induced_potential",
     "omega_from_sigma",
     "spiral_box_spectrum",
@@ -40,7 +40,6 @@ __all__ = [
     "pib_open_energy",
     "pib_closed_energy",
     "transition_wavelength",
-    "hydrogen_state_1d",
     "hydrogen_wavefunction_1d",
     "hydrogen_radial_3d",
 ]
@@ -228,65 +227,74 @@ def transition_wavelength(levels: EnergyLevels, n_homo: int) -> float:
 # Both normalizations follow from the Laguerre identity (DLMF 18.17)
 #   int_0^inf x^(a+1) e^-x [L_k^(a)(x)]^2 dx = (k+a)!/k! (2k+a+1).
 
+# exp(-h) past h = 708.39, below the normal floats, is taken as 2^-k exp(k ln 2 - h),
+# with ln 2 = _LN2_HI + _LN2_LO split as in fdlibm: _LN2_HI has 32 significant
+# bits, so k _LN2_HI is exact up to k = 2^21 (h = 1.45e6).  Past that h every
+# value of degree below 1e5 underflows, and k stops at 2^21.
+_NORMAL_EXP = -math.log(sys.float_info.min)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_SHIFT_MAX = 2.0**21 * _LN2_HI
 
-@dataclass(frozen=True)
-class HydrogenState1D:
-    """Bound state psi_N = B exp(-z/2) z L_{N-1}^(1)(z), z = 2s/(N a0)."""
 
-    n: int
-    a0: float
-    normalization: float
+def _hydrogen_raw(n: int, ell: int, a0: float, r: float | np.ndarray) -> tuple:
+    """z = 2r/(n a0) and exp(-z/2) z^ell L_{n-ell-1}^(2 ell+1)(z), unnormalized.
 
-
-def _check_a0(a0: float) -> None:
+    z times the ell = 0 function is the 1D state.  L comes as m 2^e and
+    exp(-z/2) as 2^-k exp(k ln 2 - z/2); the mantissas of the three factors
+    are multiplied and their powers of two joined in one `ldexp`, so a value
+    overflows or underflows only where the true value does.  A value that
+    overflows is refused.
+    """
+    if not 0 <= ell < n:
+        raise ValueError(f"need n >= 1 and 0 <= ell < n, got n = {n}, ell = {ell}")
     if not (math.isfinite(a0) and a0 > 0.0):
         raise ValueError(f"a0 must be finite and positive, got {a0!r}")
+    points = np.asarray(r, dtype=float)
+    bad = points[~((0.0 < points) & (points < math.inf))]
+    if bad.size:
+        raise ValueError(f"positions must be finite and positive, got {bad[0].item()!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        z = 2.0 * points / (n * a0)
+        lag, lag_exp = specfun.laguerre(n - ell - 1, 2.0 * ell + 1.0, z, scaled=True)
+        half = 0.5 * z
+        shift = np.where(half > _NORMAL_EXP, np.floor(np.minimum(half, _SHIFT_MAX) / _LN2_HI), 0.0)
+        reduced = (shift * _LN2_HI - half) + shift * _LN2_LO
+        decay, decay_exp = np.frexp(specfun.pointwise(math.exp, reduced))
+        power, power_exp = np.frexp(specfun.pointwise(pow, z, ell))
+        value = np.ldexp(
+            decay * power * lag, decay_exp + power_exp + lag_exp - shift.astype(np.int64)
+        )
+    bad = points[~np.isfinite(value)]
+    if bad.size:
+        raise ValueError(f"hydrogen state n = {n} overflows at r = {bad[0].item()!r}")
+    return z, value
 
 
-def _hydrogen_raw(n: int, ell: int, a0: float, r: float) -> float:
-    """exp(-z/2) z^ell L_{n-ell-1}^(2 ell+1)(z) at z = 2r/(n a0), unnormalized.
-
-    z times the ell = 0 function is the 1D state.  A value that overflows
-    (exp(-z/2) -> 0 against L -> inf, from n ~ 240 at r = 4 n^2 a0) is refused.
+def hydrogen_wavefunction_1d(n: int, s: float | np.ndarray, a0: float = 1.0):
+    """Normalized 1D bound state psi_N = B exp(-z/2) z L_{N-1}^(1)(z), z = 2s/(N a0),
+    at arc length s > 0; int psi^2 ds = 1 gives B = 1/sqrt(N^3 a0).  An array of s
+    gives the array of values in one pass, each equal to that of its single point.
     """
-    z = 2.0 * r / (n * a0)
-    value = math.exp(-0.5 * z) * z**ell * specfun.laguerre(n - ell - 1, 2.0 * ell + 1.0, z)
-    if not math.isfinite(value):
-        raise ValueError(f"hydrogen state n = {n} overflows at r = {r!r} (z = {z!r})")
-    return value
+    z, raw = _hydrogen_raw(n, 0, a0, s)
+    values = 1.0 / math.sqrt(n**3 * a0) * z * raw
+    return values if isinstance(s, np.ndarray) else values.item()
 
 
-def hydrogen_state_1d(n: int, a0: float = 1.0) -> HydrogenState1D:
-    """Construct the N-th bound state; int psi^2 ds = 1 gives B = 1/sqrt(N^3 a0)."""
-    if n < 1:
-        raise ValueError("principal quantum number must be >= 1")
-    _check_a0(a0)
-    return HydrogenState1D(n=n, a0=a0, normalization=1.0 / math.sqrt(n**3 * a0))
-
-
-def hydrogen_wavefunction_1d(state: HydrogenState1D, s: float) -> float:
-    """Normalized 1D bound-state value at arc length s > 0."""
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"the half-line solution is defined for finite s > 0, got {s!r}")
-    z = 2.0 * s / (state.n * state.a0)
-    return state.normalization * z * _hydrogen_raw(state.n, 0, state.a0, s)
-
-
-def hydrogen_radial_3d(n: int, ell: int, r: float, a0: float = 1.0) -> float:
+def hydrogen_radial_3d(n: int, ell: int, r: float | np.ndarray, a0: float = 1.0):
     """Radial function R_{n,ell}(r), normalized so that int r^2 R^2 dr = 1.
 
     N^2 = (2/(n a0))^3 / (2n (n+ell)!/(n-ell-1)!); the factorial ratio is a
-    product of 2 ell + 1 integers, exact in floating point.
+    product of 2 ell + 1 integers, exact in floating point.  A numpy array of
+    r gives the array of values, each equal to the value of its single point.
     """
-    if n < 1 or ell < 0:
-        raise ValueError("need n >= 1 and ell >= 0")
-    if ell >= n:
-        raise ValueError(f"angular momentum ell = {ell} must be below n = {n}")
-    _check_a0(a0)
-    if r <= 0.0:
-        raise ValueError("the radial coordinate must be positive")
+    _, raw = _hydrogen_raw(n, ell, a0, r)
+    ratio = math.prod(range(n - ell, n + ell + 1))
+    if 2 * n * ratio > sys.float_info.max:
+        raise ValueError(f"(n+ell)!/(n-ell-1)! overflows the normalization at n = {n}, ell = {ell}")
     try:
-        norm = math.sqrt((2.0 / (n * a0)) ** 3 / (2.0 * n * math.prod(range(n - ell, n + ell + 1))))
+        norm = math.sqrt((2.0 / (n * a0)) ** 3 / (2.0 * n * ratio))
     except OverflowError:
         raise ValueError(f"the normalization overflows at a0 = {a0!r}") from None
-    return norm * _hydrogen_raw(n, ell, a0, r)
+    values = norm * raw
+    return values if isinstance(r, np.ndarray) else values.item()

@@ -3,11 +3,11 @@ its zeros and generalized Laguerre polynomials.
 
 Everything here is plain double-precision arithmetic, so that these routines
 can serve as one independent leg of the analytic-vs-finite-difference cross
-checks elsewhere in the package.  `bessel_j` runs the series and recurrence
-over a whole grid of x at once, a single x being a one-point grid: numpy
-does only the elementwise IEEE arithmetic, and `math` the logs, exponentials
-and powers point by point.  The zeros stay plain Python: they evaluate J at
-one point at a time through the scalar recurrence.
+checks elsewhere in the package.  `bessel_j` and `laguerre` run over a whole
+grid of x at once, a single x being a one-point grid: numpy does only the
+elementwise IEEE arithmetic, and `math` the logs, exponentials and powers
+point by point.  The zeros stay plain Python: they evaluate J at one point
+at a time through the scalar recurrence.
 """
 
 from __future__ import annotations
@@ -59,7 +59,10 @@ def _bessel_series_grid(nu: float, x: np.ndarray) -> np.ndarray:
     # each point ending its own sum
     half = 0.5 * x
     q = half * half
-    ln_t0 = nu * pointwise(math.log, half) - math.lgamma(nu + 1.0)
+    # x = 5e-324 is the one x > 0 whose half underflows: log x - log 2 stands in
+    tiny = half == 0.0
+    ln_half = pointwise(math.log, np.where(tiny, x, half)) - np.where(tiny, math.log(2.0), 0.0)
+    ln_t0 = nu * ln_half - math.lgamma(nu + 1.0)
     total = np.ones(x.size)
     c = np.ones(x.size)
     live = np.arange(x.size)  # points still summing
@@ -280,14 +283,31 @@ def bessel_j_zero(nu: float, n: int) -> float:
     return bessel_j_zeros(nu, n)[n - 1]
 
 
-def laguerre(degree: int, alpha: float, x: float) -> float:
-    """Generalized Laguerre polynomial L_degree^(alpha)(x), degree >= 0."""
+def laguerre(degree: int, alpha: float, x: float | np.ndarray, scaled: bool = False):
+    """Generalized Laguerre polynomial L_degree^(alpha)(x), degree >= 0, at one x
+    or, in one pass of the three-term recurrence, at an array of x.
+
+    With `scaled`, returns (m, e) with L = m 2^e, e an integer array in the
+    shape of x (an int for a single x): a value past 2^500 is scaled by
+    2^-500 as the recurrence runs, so m stays finite where L overflows.
+    """
     if degree < 0:
         raise ValueError(f"Laguerre degree must be >= 0, got {degree!r}")
-    if degree == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + alpha - x
-    for k in range(1, degree):
-        prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
-    return cur
+
+    def shaped(values: np.ndarray):
+        values = values.reshape(np.shape(x))
+        return values if isinstance(x, np.ndarray) else values.item()
+
+    flat = np.asarray(x, dtype=float).reshape(-1)
+    exponent = np.zeros(flat.size, dtype=np.int64)
+    prev = np.ones(flat.size)
+    cur = prev if degree == 0 else 1.0 + alpha - flat
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge x gives inf or nan
+        for k in range(1, degree):
+            prev, cur = cur, ((2.0 * k + 1.0 + alpha - flat) * cur - (k + alpha) * prev) / (k + 1.0)
+            big = np.abs(cur) > 2.0**500
+            if big.any():
+                cur[big] *= 2.0**-500
+                prev[big] *= 2.0**-500
+                exponent[big] += 500
+        return (shaped(cur), shaped(exponent)) if scaled else shaped(np.ldexp(cur, exponent))

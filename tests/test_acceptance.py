@@ -26,7 +26,6 @@ from spiralbox.polyene import Molecule, fit_effective_mass, fit_sigma, lambda_mo
 from spiralbox.quantum import (
     ParticleInBox,
     hydrogen_radial_3d,
-    hydrogen_state_1d,
     hydrogen_wavefunction_1d,
     nm_to_bohr,
     omega_from_sigma,
@@ -180,14 +179,9 @@ def test_criterion_6_geometry_suite():
 def test_criterion_7_density_equivalence():
     with criterion("7 1D bound-state density equals the s-wave radial density"):
         for n in (1, 2, 3, 4):
-            state = hydrogen_state_1d(n)
             s_values = np.geomspace(0.02, 8.0 * n * n, 100)
-            p1 = np.array(
-                [hydrogen_wavefunction_1d(state, float(s)) ** 2 for s in s_values]
-            )
-            p3 = np.array(
-                [s * s * hydrogen_radial_3d(n, 0, float(s)) ** 2 for s in s_values]
-            )
+            p1 = hydrogen_wavefunction_1d(n, s_values) ** 2
+            p3 = s_values * s_values * hydrogen_radial_3d(n, 0, s_values) ** 2
             assert np.allclose(p1, p3, rtol=1e-8, atol=1e-13 * float(np.max(p1)))
 
 

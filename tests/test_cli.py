@@ -703,13 +703,68 @@ def test_hydrogen_large_n_writes_finite_cells(tmp_path, n):
     assert all(math.isfinite(float(c)) for r in rows for c in r)
 
 
+# (row, psi_1d) of the default 400-row table, and the peak |psi_1d| over all
+# rows, from mpmath's exp(-z/2) z L_{N-1}^(1)(z) / sqrt(N^3) at 60 digits
+HYDROGEN_FROZEN = {
+    242: (0.008708691055654121, [
+        (0, -0.0008759153970161096), (33, -0.0006566263215286827),
+        (66, -0.0027280655642638874), (99, -0.0020914881597414105),
+        (133, -0.0010306354699798387), (166, 0.004943466514720536),
+        (199, -0.005813294352032893), (232, -2.9069255147352345e-12),
+        (266, -3.3286307421616015e-28), (299, -5.128946727945831e-47),
+        (332, -4.697221755765579e-68), (365, -9.764254340403654e-91),
+        (399, -1.9496135354395572e-115),
+    ]),
+    1000: (0.002622648324611426, [
+        (0, -0.00016908852753556465), (33, -0.0005277564779981421),
+        (66, -0.0003597746473788413), (99, 0.00014939168680762482),
+        (133, -0.0009497425928468136), (166, -0.0008272840789117132),
+        (199, -0.0017821620259777812), (232, -5.886248928501404e-41),
+        (266, -1.2255105828780906e-106), (299, -2.802437032835021e-184),
+        (332, -3.7499561435209175e-271), (365, 0.0), (399, 0.0),
+    ]),
+}
+
+
+@pytest.mark.parametrize("n", sorted(HYDROGEN_FROZEN))
+def test_hydrogen_beyond_n_241_matches_frozen_mpmath(tmp_path, n):
+    # from n = 242 exp(-z/2) underflowed against an overflowing L and the
+    # command exited 2; the tail, 1e-115 at n = 242, was written as 0 from n = 187
+    out = tmp_path / f"hyd{n}.csv"
+    assert main(["hydrogen", "--n-level", str(n), "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 400
+    assert all(math.isfinite(float(c)) for r in rows for c in r)
+    # the cells hold 10 digits: the values behind them are checked to 1e-12
+    psi = quantum.hydrogen_wavefunction_1d(n, np.linspace(4.0 * n * n / 400, 4.0 * n * n, 400))
+    assert [r[1] for r in rows] == [f"{v:.10g}" for v in psi.tolist()]
+    peak, frozen = HYDROGEN_FROZEN[n]
+    for i, want in frozen:
+        assert abs(psi[i] - want) <= 1e-12 * peak, (n, i)
+        if abs(want) > 1e-300:
+            assert psi[i] == pytest.approx(want, rel=1e-12), (n, i)
+
+
+def test_hydrogen_above_the_level_cap_exits_2_at_once(tmp_path, capsys):
+    out = tmp_path / "hyd.csv"
+    assert main(["hydrogen", "--n-level", str(cli.MAX_N_LEVEL), "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert all(math.isfinite(float(c)) for r in rows for c in r)
+    out.unlink()
+    start = time.perf_counter()
+    assert main(["hydrogen", "--n-level", str(cli.MAX_N_LEVEL + 1), "--output", str(out)]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert f"at most {cli.MAX_N_LEVEL}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [
         ["--n-level", "3", "--a0", "nan"],
         ["--n-level", "3", "--a0", "inf"],
         ["--n-level", "3", "--s-max", "nan"],
-        ["--n-level", "400"],  # exp(-z/2) L_399(z) overflows at the default s_max
+        ["--n-level", "3", "--s-max", "1e200"],  # L_2(z) overflows where exp(-z/2) is 0
     ],
 )
 def test_hydrogen_non_finite_input_or_result_exits_2(tmp_path, capsys, flags):

@@ -1,8 +1,12 @@
-"""The import rule that keeps the two legs of every cross-check independent.
+"""The import rules of the package.
 
 `fdsolver` (the finite-difference oracle) takes nothing from `specfun` or
 `quantum`, `specfun` takes nothing from `fdsolver`, and no module of the
 package uses mpmath, which only the tests' extended-precision oracles may.
+Over the whole package the imports run one way, so that the library
+computes and only the CLI writes: `specfun`, `fdsolver` and `svgplot` import
+no package module, `geometry` and `quantum` only `specfun`, `polyene` only
+`quantum` and `specfun`, and `cli` whatever it needs.
 """
 
 import ast
@@ -52,6 +56,25 @@ def test_the_import_reader_sees_every_form(tmp_path):
 )
 def test_the_two_legs_import_nothing_from_each_other(module, forbidden):
     assert not _imported(SRC / f"{module}.py") & forbidden
+
+
+# each module of the package -> the package modules it may import
+IMPORT_ORDER = {
+    "specfun": set(),
+    "fdsolver": set(),
+    "svgplot": set(),
+    "geometry": {"specfun"},
+    "quantum": {"specfun"},
+    "polyene": {"quantum", "specfun"},
+    "cli": {"fdsolver", "geometry", "polyene", "quantum", "specfun", "svgplot"},
+}
+
+
+def test_every_module_imports_only_the_modules_below_it():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    assert modules == set(IMPORT_ORDER)
+    got = {m: _imported(SRC / f"{m}.py") & modules for m in sorted(modules)}
+    assert got == IMPORT_ORDER
 
 
 def test_no_package_module_imports_mpmath():

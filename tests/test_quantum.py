@@ -14,7 +14,6 @@ from spiralbox.quantum import (
     geometry_induced_potential,
     hartree_to_ev,
     hydrogen_radial_3d,
-    hydrogen_state_1d,
     hydrogen_wavefunction_1d,
     nm_to_bohr,
     omega_from_sigma,
@@ -337,24 +336,27 @@ def test_transition_gap_beyond_the_ev_range_is_refused():
 
 def test_hydrogen_1d_normalization_matches_closed_form():
     # int_0^inf psi^2 ds = B^2 N^3 a0 for psi = B exp(-z/2) z L_{N-1}^(1)(z)
+    def normalization(n, a0=1.0):
+        s = 0.7 * n * a0
+        z = 2.0 * s / (n * a0)
+        return hydrogen_wavefunction_1d(n, s, a0) / (
+            math.exp(-0.5 * z) * z * specfun.laguerre(n - 1, 1.0, z)
+        )
+
     for n in (1, 2, 3, 4):
-        state = hydrogen_state_1d(n)
-        assert state.normalization == pytest.approx(1.0 / math.sqrt(n**3), rel=1e-10)
-    state = hydrogen_state_1d(2, a0=3.0)
-    assert state.normalization == pytest.approx(1.0 / math.sqrt(8.0 * 3.0), rel=1e-10)
+        assert normalization(n) == pytest.approx(1.0 / math.sqrt(n**3), rel=1e-10)
+    assert normalization(2, a0=3.0) == pytest.approx(1.0 / math.sqrt(8.0 * 3.0), rel=1e-10)
 
 
 def test_hydrogen_1d_norm_verified_independently():
-    state = hydrogen_state_1d(3)
     s = np.linspace(1e-9, 150.0, 300_001)
-    vals = np.array([hydrogen_wavefunction_1d(state, float(x)) for x in s])
+    vals = hydrogen_wavefunction_1d(3, s)
     assert np.trapezoid(vals**2, s) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_hydrogen_1d_ground_state_is_nodeless():
-    state = hydrogen_state_1d(1)
     s = np.linspace(1e-6, 40.0, 4000)
-    vals = np.array([hydrogen_wavefunction_1d(state, float(x)) for x in s])
+    vals = hydrogen_wavefunction_1d(1, s)
     assert np.all(vals > 0.0)
     # single interior maximum
     peaks = np.sum((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:]))
@@ -363,26 +365,47 @@ def test_hydrogen_1d_ground_state_is_nodeless():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hydrogen_1d_node_count(n):
-    state = hydrogen_state_1d(n)
     s = np.linspace(1e-6, 60.0 * n, 20_000)
-    vals = np.array([hydrogen_wavefunction_1d(state, float(x)) for x in s])
+    vals = hydrogen_wavefunction_1d(n, s)
     signs = np.sign(vals)
     changes = int(np.sum(signs[:-1] * signs[1:] < 0))
     assert changes == n - 1
 
 
 def test_hydrogen_1d_domain():
-    state = hydrogen_state_1d(1)
     for bad_s in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            hydrogen_wavefunction_1d(state, bad_s)
+            hydrogen_wavefunction_1d(1, bad_s)
+        with pytest.raises(ValueError, match=repr(bad_s)):
+            hydrogen_wavefunction_1d(1, np.array([1.0, bad_s]))
     with pytest.raises(ValueError):
-        hydrogen_state_1d(0)
+        hydrogen_wavefunction_1d(0, 1.0)
     for bad_a0 in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            hydrogen_state_1d(1, bad_a0)
+            hydrogen_wavefunction_1d(1, 1.0, bad_a0)
         with pytest.raises(ValueError):
             hydrogen_radial_3d(1, 0, 1.0, bad_a0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 3, 14, 180, 241, 1000])
+def test_hydrogen_of_an_array_equals_its_single_points_bit_for_bit(n):
+    # the CLI's grid out to s = 4 n^2 a0, where from n = 178 exp(-z/2) is
+    # carried as a power of two and a mantissa, and from n = 120 so is L
+    for a0 in (0.5, 1.3):
+        top = 4.0 * n * n * a0
+        s = np.linspace(top / 400, top, 400)[:: max(1, n // 25)]  # a scalar call costs n steps
+        got = hydrogen_wavefunction_1d(n, s, a0)
+        assert isinstance(got, np.ndarray) and got.shape == s.shape
+        assert _bits(got) == _bits([hydrogen_wavefunction_1d(n, float(v), a0) for v in s])
+        for ell in sorted({0, min(n - 1, 2), min(n - 1, 9)}):
+            got = hydrogen_radial_3d(n, ell, s.reshape(1, -1), a0)
+            assert got.shape == (1, s.size)
+            want = [hydrogen_radial_3d(n, ell, float(v), a0) for v in s]
+            assert _bits(got.ravel()) == _bits(want)
 
 
 # --- 3D radial functions and the density equivalence ---------------------------------
@@ -396,8 +419,8 @@ def test_radial_ground_state_shape():
 
 def test_radial_orthogonality():
     r = np.linspace(1e-9, 120.0, 400_001)
-    r10 = np.array([hydrogen_radial_3d(1, 0, float(x)) for x in r])
-    r20 = np.array([hydrogen_radial_3d(2, 0, float(x)) for x in r])
+    r10 = hydrogen_radial_3d(1, 0, r)
+    r20 = hydrogen_radial_3d(2, 0, r)
     assert abs(np.trapezoid(r * r * r10 * r20, r)) <= 1e-6
 
 
@@ -408,16 +431,24 @@ def test_radial_validation():
         hydrogen_radial_3d(2, 0, 0.0)
 
 
+def test_radial_norm_overflow_names_n_and_ell_not_a0():
+    # (n+ell)!/(n-ell-1)! passes the float range whatever a0 is
+    for n, ell, a0 in ((120, 109, 6.87), (195, 185, 0.81)):
+        with pytest.raises(ValueError, match=f"n = {n}, ell = {ell}") as err:
+            hydrogen_radial_3d(n, ell, 1.0, a0)
+        assert "a0" not in str(err.value)
+    # a0 alone still names a0
+    with pytest.raises(ValueError, match="at a0 = 1e-300"):
+        hydrogen_radial_3d(1, 0, 1.0, 1e-300)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_density_equivalence_1d_vs_3d(n):
     # |psi_1d(s)|^2 equals s^2 R_{n,0}(s)^2 point by point once both are
     # normalized; sample across the full classically relevant range
-    state = hydrogen_state_1d(n)
     s_values = np.geomspace(0.02, 8.0 * n * n, 100)
-    p1 = np.array([hydrogen_wavefunction_1d(state, float(s)) ** 2 for s in s_values])
-    p3 = np.array(
-        [s * s * hydrogen_radial_3d(n, 0, float(s)) ** 2 for s in s_values]
-    )
+    p1 = hydrogen_wavefunction_1d(n, s_values) ** 2
+    p3 = s_values * s_values * hydrogen_radial_3d(n, 0, s_values) ** 2
     assert np.allclose(p1, p3, rtol=1e-8, atol=1e-13 * float(np.max(p1)))
 
 
@@ -444,14 +475,13 @@ def test_hydrogen_closed_forms_match_mpmath(n):
             for r, w in zip(r_values, want):
                 got = hydrogen_radial_3d(n, ell, float(r), a0)
                 assert abs(got - float(w)) <= 1e-10 * peak, (n, ell, a0, r)
-        state = hydrogen_state_1d(n, a0)
         want = []
         for s in r_values:
             z = 2 * mp.mpf(s) / (n * a0)
             want.append(mp.exp(-z / 2) * z * mp.laguerre(n - 1, 1, z) / mp.sqrt(n**3 * a0))
         peak = float(max(abs(w) for w in want))
         for s, w in zip(r_values, want):
-            assert abs(hydrogen_wavefunction_1d(state, float(s)) - float(w)) <= 1e-10 * peak
+            assert abs(hydrogen_wavefunction_1d(n, float(s), a0) - float(w)) <= 1e-10 * peak
 
 
 @pytest.mark.parametrize("n,ell", [(30, 0), (40, 2), (60, 3)])
@@ -483,14 +513,37 @@ def test_hydrogen_closed_forms_match_mpmath_at_seeded_states():
             got = lambda r: hydrogen_radial_3d(n, ell, r, a0)
             want = lambda r: _mp_radial(n, ell, a0, r)
         else:
-            state = hydrogen_state_1d(n, a0)
-            got = lambda r: hydrogen_wavefunction_1d(state, r)
+            got = lambda r: hydrogen_wavefunction_1d(n, r, a0)
             want = lambda r: _mp_state_1d(n, a0, r)
         top = 4.0 * n * n * a0
-        peak = max(abs(got(float(r))) for r in np.linspace(top / 400, top, 400))
+        peak = np.abs(got(np.linspace(top / 400, top, 400))).max()
         for r in rng.uniform(0.0, top, 3):
             with mp.workdps(40):
                 assert abs(got(float(r)) - want(float(r))) <= 4e-15 * peak, (n, ell, a0, r)
+
+
+@pytest.mark.parametrize(
+    "n,ell,a0",
+    [(242, None, 1.0), (1000, None, 0.6), (10000, None, 1.3), (563, 35, 10.7), (3820, 37, 2.85)],
+)
+def test_hydrogen_closed_forms_past_n_241_match_mpmath(n, ell, a0):
+    # exp(-z/2), z^ell and L pass the float range apart from each other
+    # (exp(-z/2) from n = 178, z^37 L at n = 3820 near z = 22 000), not
+    # their product; ell = None is the 1D state.  The bound is 1e-12 of the
+    # state's peak over a 400-point sample out to 4 n^2 a0; 56 seeded states
+    # over n in [242, 10000] gave at most 1.6e-13 (1D) and 5.3e-13 (3D)
+    if ell is None:
+        got = lambda r: hydrogen_wavefunction_1d(n, r, a0)
+        want = lambda r: _mp_state_1d(n, a0, r)
+    else:
+        got = lambda r: hydrogen_radial_3d(n, ell, r, a0)
+        want = lambda r: _mp_radial(n, ell, a0, r)
+    top = 4.0 * n * n * a0
+    peak = np.abs(got(np.linspace(top / 400, top, 400))).max()
+    rng = np.random.default_rng(n)
+    for r in [*rng.uniform(0.0, top / 2, 3), 0.9 * top]:
+        with mp.workdps(40):
+            assert abs(got(float(r)) - want(float(r))) <= 1e-12 * peak, (n, ell, a0, r)
 
 
 def test_wavefunction_norm_matches_lommels_integral():

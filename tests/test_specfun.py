@@ -290,6 +290,21 @@ def test_bessel_of_an_array_keeps_shape_and_checks_every_point():
         bessel_j(1.0001e4, np.array([1.0]))
 
 
+def test_bessel_at_the_smallest_positive_argument():
+    # x = 5e-324 is the one x > 0 whose half underflows to 0: it raised
+    # "math domain error" as a scalar and inside an array
+    tiny = 5e-324
+    with mp.workdps(30):
+        want = float(mp.besselj(mp.mpf("1e-10"), mp.mpf(tiny)))
+    assert want == pytest.approx(1.0 - 7.4e-8, abs=1e-9)
+    for nu, expected in ((0.0, 1.0), (2.5, 0.0), (1e-10, want)):
+        assert bessel_j(nu, tiny) == pytest.approx(expected, rel=1e-15)
+        x = np.array([tiny, 1e-300, 1.0, 7.0])
+        got = bessel_j(nu, x)
+        assert got[0] == pytest.approx(expected, rel=1e-15)
+        assert _bits(got[1:]) == _bits([bessel_j(nu, float(v)) for v in x[1:]])
+
+
 def test_bessel_recurrence_consistency():
     # J_nu + J_{nu+2} = (2 (nu+1) / x) J_{nu+1}, randomized orders and arguments
     rng = np.random.default_rng(20240817)
@@ -433,3 +448,49 @@ def test_laguerre_recurrence_self_consistency():
 def test_laguerre_degree_validation():
     with pytest.raises(ValueError):
         laguerre(-1, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        laguerre(-1, 0.0, np.array([1.0]))
+
+
+def _laguerre_loop(degree, alpha, x):
+    # the three-term recurrence at one point in plain Python floats
+    if degree == 0:
+        return 1.0
+    prev, cur = 1.0, 1.0 + alpha - x
+    for k in range(1, degree):
+        prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
+    return cur
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 7, 40, 150])
+def test_laguerre_of_an_array_equals_the_scalar_recurrence_bit_for_bit(degree):
+    # degree 150 on x up to 1200 passes 2^500 and is scaled down by powers
+    # of two, which leaves the bits as they are
+    rng = np.random.default_rng(degree)
+    x = np.concatenate([[0.0, -2.5], rng.uniform(0.0, 8.0 * degree + 10.0, 60)])
+    for alpha in (0.0, 1.0, 2.5, 7.0):
+        want = [_laguerre_loop(degree, alpha, v) for v in x.tolist()]
+        got = laguerre(degree, alpha, x.reshape(2, -1))
+        assert got.shape == (2, x.size // 2)
+        assert _bits(got.ravel()) == _bits(want)
+        assert _bits([laguerre(degree, alpha, v) for v in x.tolist()]) == _bits(want)
+
+
+def test_laguerre_degree_zero_is_ones_in_the_shape_of_x():
+    got = laguerre(0, 1.0, np.zeros((2, 3)))
+    assert got.shape == (2, 3) and np.all(got == 1.0)
+    assert laguerre(0, 1.0, np.array([])).shape == (0,)
+
+
+def test_laguerre_scaled_stays_finite_past_the_float_range():
+    # L_999^(1)(8000) is about 1e908: m 2^e carries it where L itself is inf
+    x = np.array([4000.0, 8000.0])
+    m, e = laguerre(999, 1.0, x, scaled=True)
+    assert e.dtype.kind == "i" and np.all(np.isfinite(m)) and e[1] > 1024
+    with mp.workdps(30):
+        for xi, mi, ei in zip(x.tolist(), m.tolist(), e.tolist()):
+            want = mp.laguerre(999, 1, xi)
+            assert abs(mp.ldexp(mi, ei) / want - 1) <= 1e-12, xi
+    assert abs(laguerre(999, 1.0, 8000.0)) == math.inf
+    m1, e1 = laguerre(3, 1.0, 2.0, scaled=True)
+    assert (m1, e1) == (laguerre(3, 1.0, 2.0), 0)
