@@ -362,7 +362,9 @@ def cmd_hydrogen(args: argparse.Namespace) -> int:
     psi = quantum.hydrogen_wavefunction_1d(n, s_vals, a0)
     radial = quantum.hydrogen_radial_3d(n, 0, s_vals, a0)
     with np.errstate(all="ignore"):  # the table refuses what is not finite
-        columns = [s_vals, psi, psi * psi, s_vals * s_vals * radial * radial]
+        # s^2 R^2 is 0 where R underflows to 0, also where s^2 overflows
+        density = np.where(radial == 0.0, 0.0, s_vals * s_vals * radial * radial)
+        columns = [s_vals, psi, psi * psi, density]
     _write(
         args.output,
         _table(

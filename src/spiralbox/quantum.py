@@ -108,9 +108,8 @@ class SpiralBoxSpectrum:
         return self.zeros[n - 1]
 
 
-# The zero scan costs about n_levels^2: 150 levels take about 20 s at the
-# largest Bessel order, omega ~ 1e4 (sigma = 5e-5), and 0.5 s at sigma = 0.03.
-MAX_LEVELS = 150
+# one level a Bessel zero, and the zero scan's cap bounds its cost
+MAX_LEVELS = specfun.MAX_ZEROS
 
 
 def spiral_box_spectrum(
@@ -122,8 +121,6 @@ def spiral_box_spectrum(
     """
     if box_length <= 0.0 or mass <= 0.0 or n_levels < 1:
         raise ValueError("box_length, mass and n_levels must all be positive")
-    if n_levels > MAX_LEVELS:
-        raise ValueError(f"{n_levels} levels requested; at most {MAX_LEVELS} are computed")
     omega = omega_from_sigma(sigma)
     zeros = specfun.bessel_j_zeros(omega, n_levels)
     scale = 2.0 * mass * box_length * box_length
@@ -244,7 +241,7 @@ def _hydrogen_raw(n: int, ell: int, a0: float, r: float | np.ndarray) -> tuple:
     exp(-z/2) as 2^-k exp(k ln 2 - z/2); the mantissas of the three factors
     are multiplied and their powers of two joined in one `ldexp`, so a value
     overflows or underflows only where the true value does.  A value that
-    overflows is refused.
+    overflows is refused.  Where z/2 passes _SHIFT_MAX, z and the value are 0.
     """
     if not 0 <= ell < n:
         raise ValueError(f"need n >= 1 and 0 <= ell < n, got n = {n}, ell = {ell}")
@@ -256,15 +253,19 @@ def _hydrogen_raw(n: int, ell: int, a0: float, r: float | np.ndarray) -> tuple:
         raise ValueError(f"positions must be finite and positive, got {bad[0].item()!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         z = 2.0 * points / (n * a0)
+        # past _SHIFT_MAX every value underflows: z = 0 stands in, and the value is 0
+        far = ~(0.5 * z <= _SHIFT_MAX)
+        z = np.where(far, 0.0, z)
         lag, lag_exp = specfun.laguerre(n - ell - 1, 2.0 * ell + 1.0, z, scaled=True)
         half = 0.5 * z
-        shift = np.where(half > _NORMAL_EXP, np.floor(np.minimum(half, _SHIFT_MAX) / _LN2_HI), 0.0)
+        shift = np.where(half > _NORMAL_EXP, np.floor(half / _LN2_HI), 0.0)
         reduced = (shift * _LN2_HI - half) + shift * _LN2_LO
         decay, decay_exp = np.frexp(specfun.pointwise(math.exp, reduced))
         power, power_exp = np.frexp(specfun.pointwise(pow, z, ell))
         value = np.ldexp(
             decay * power * lag, decay_exp + power_exp + lag_exp - shift.astype(np.int64)
         )
+        value = np.where(far, 0.0, value)
     bad = points[~np.isfinite(value)]
     if bad.size:
         raise ValueError(f"hydrogen state n = {n} overflows at r = {bad[0].item()!r}")

@@ -764,7 +764,7 @@ def test_hydrogen_above_the_level_cap_exits_2_at_once(tmp_path, capsys):
         ["--n-level", "3", "--a0", "nan"],
         ["--n-level", "3", "--a0", "inf"],
         ["--n-level", "3", "--s-max", "nan"],
-        ["--n-level", "3", "--s-max", "1e200"],  # L_2(z) overflows where exp(-z/2) is 0
+        ["--n-level", "3", "--a0", "1e-320"],  # prob_1d is about 1e318
     ],
 )
 def test_hydrogen_non_finite_input_or_result_exits_2(tmp_path, capsys, flags):
@@ -772,6 +772,15 @@ def test_hydrogen_non_finite_input_or_result_exits_2(tmp_path, capsys, flags):
     assert main(["hydrogen", *flags, "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_hydrogen_far_out_writes_zeros(tmp_path):
+    # every true value underflows; L_2(z) overflowed there, s^2 too, and the
+    # command exited 2
+    out = tmp_path / "hyd.csv"
+    assert main(["hydrogen", "--n-level", "3", "--s-max", "1e200", "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) > 1 and all(float(c) == 0.0 for r in rows for c in r[1:])
 
 
 # --- determinism ----------------------------------------------------------------------

@@ -387,6 +387,17 @@ def test_hydrogen_1d_domain():
             hydrogen_radial_3d(1, 0, 1.0, bad_a0)
 
 
+def test_hydrogen_past_the_decay_shift_cap_is_zero():
+    # past z/2 = 2^21 ln 2 every value underflows: z^ell raised OverflowError
+    # at r = 1e200, and L passed the float range where z = 2r/(n a0) did
+    assert hydrogen_radial_3d(3, 2, 1e200) == 0.0
+    assert hydrogen_wavefunction_1d(3, 1e300, 1e-10) == 0.0  # z = inf
+    r = np.array([1.45e6, 1.46e6, 1e200, 1e308])  # z/2 = r at n = a0 = 1
+    for ell in (0, 2):
+        assert np.all(hydrogen_radial_3d(3 + ell, ell, r, 1.0 / (3 + ell)) == 0.0)
+    assert np.all(hydrogen_wavefunction_1d(1, r) == 0.0)
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 

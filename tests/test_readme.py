@@ -53,3 +53,11 @@ def test_readme_library_tour_runs(tmp_path, monkeypatch):
     (tour,) = _blocks("python")
     monkeypatch.chdir(tmp_path)
     exec(compile(tour, "README.md", "exec"), {})
+
+
+def test_readme_accuracy_table_names_only_tests_that_exist():
+    section = re.search(r"^## Accuracy\n(.*?)^## ", README, re.S | re.M).group(1)
+    named = set(re.findall(r"`(test_\w+)`", section))
+    sources = "".join(path.read_text(encoding="utf-8") for path in (ROOT / "tests").rglob("*.py"))
+    defined = set(re.findall(r"^def (test_\w+)\(", sources, re.M))
+    assert named and not named - defined, sorted(named - defined)

@@ -14,6 +14,7 @@ import pytest
 
 from oracles import mp_bessel_j
 from spiralbox.specfun import (
+    MAX_ZEROS,
     bessel_j,
     bessel_j_zero,
     bessel_j_zeros,
@@ -167,8 +168,8 @@ def test_bessel_oracle_table(nu, x, expected):
 
 
 def test_bessel_small_argument_matches_oracle_to_1e_14():
-    # the ascending series cancels as x grows (5e-13 absolute near x = 12),
-    # so past x = 6 the backward recurrence must take over
+    # the backward recurrence on both sides of x = 6, where an ascending
+    # series would cancel (5e-13 absolute near x = 12)
     for nu in (0.0, 0.05, 0.1, 0.3, 0.5, 1.0, 1.7, 2.5, 5.0, 8.0):
         for x in np.linspace(0.25, 14.0, 56):
             x = float(x)
@@ -187,8 +188,8 @@ def test_bessel_at_large_order_matches_mpmath_to_1e_13(nu, x):
 
 
 def test_bessel_over_the_miller_range_matches_mpmath():
-    # seeded (nu, x) over nu in [0, 1e4] and the backward-recurrence branch
-    # x > max(6, sqrt(2 (nu + 1))), up to nu + 500.  Near a zero of J only
+    # seeded (nu, x) over nu in [0, 1e4] and x > max(6, sqrt(2 (nu + 1))),
+    # up to nu + 500, where the rounding grows with x.  Near a zero of J only
     # the absolute error stays small, so it is measured against
     # max(|J|, sqrt(2 / (pi x))), the envelope of J for x >> nu.  The bound
     # is the worst over 840 such points, 2.2e-13, rounded up
@@ -200,6 +201,31 @@ def test_bessel_over_the_miller_range_matches_mpmath():
             ref = mp.besselj(nu, x, maxprec=60000)
             scale = max(abs(ref), mp.sqrt(2.0 / (mp.pi * x)))
             assert abs(mp.mpf(bessel_j(nu, x)) - ref) <= 2.5e-13 * scale, (nu, x)
+
+
+def test_bessel_near_the_origin_matches_mpmath():
+    # seeded (nu, x) over nu in [0, 1e4] and 0 < x <= max(6, sqrt(2 (nu + 1))),
+    # where an ascending series cancels (1.0e-14 of the envelope at x = 6):
+    # uniform, log-uniform down to 1e-8, around the leading-term cut at 1e-8,
+    # and the region's edges.  Measured against the envelope as above; the
+    # bound is the worst over 22 500 such points, 1.04e-15, rounded up
+    rng = np.random.default_rng(20261021)
+    cut = 1e-8
+    for i in range(240):
+        nu = float(rng.uniform(0.0, 1e4) if i % 2 else rng.uniform(0.0, 100.0))
+        top = max(6.0, math.sqrt(2.0 * (nu + 1.0)))
+        edges = (top, math.nextafter(top, 0.0), 6.0, cut, math.nextafter(cut, 1.0),
+                 math.nextafter(cut, 0.0))
+        x = (
+            float(rng.uniform(0.0, top)),
+            float(10.0 ** rng.uniform(-8.0, math.log10(top))),
+            float(10.0 ** rng.uniform(-9.0, -7.0)),
+            edges[i // 4 % len(edges)],
+        )[i % 4]
+        with mp.workdps(30):
+            ref = mp.besselj(nu, x, maxprec=60000)
+            scale = max(abs(ref), mp.sqrt(2.0 / (mp.pi * x)))
+            assert abs(mp.mpf(bessel_j(nu, x)) - ref) <= 1.1e-15 * scale, (nu, x)
 
 
 # (nu, x, J_nu(x)) on nu + 500 < x <= 2e4, from mp.besselj(..., maxprec=...)
@@ -263,9 +289,11 @@ def _grid_cases():
     for nu in orders:
         size = 200 if nu < 100.0 else 25  # the scalar reference costs about nu steps a point
         top = max(30.0, 1.3 * nu + 40.0)
-        edges = [0.0, 6.0, math.sqrt(2.0 * (nu + 1.0))]
-        edges += [math.nextafter(v, math.inf) for v in edges[1:]]
-        edges += [math.nextafter(v, 0.0) for v in edges[1:3]]
+        # the leading-term cut at 1e-8 and the former series region's edges
+        cuts = [1e-8, 6.0, math.sqrt(2.0 * (nu + 1.0))]
+        edges = [0.0, *cuts]
+        edges += [math.nextafter(v, math.inf) for v in cuts]
+        edges += [math.nextafter(v, 0.0) for v in cuts]
         cases.append((nu, np.concatenate([edges, rng.uniform(0.0, top, size)])))
     # J_1000 on [45, 60]: the backward recurrence passes 1e250 and rescales
     cases.append((1000.0, rng.uniform(45.0, 60.0, 25)))
@@ -373,6 +401,14 @@ def test_zero_index_validation():
         bessel_j_zero(1.0, 0)
     with pytest.raises(ValueError):
         bessel_j_zeros(1.0, 0)
+    # above the cap, at once: the scan costs about count^2, and 10**6 zeros
+    # at nu = 0.5 had not returned after 20 s, j_{1e4,400} took 25 s
+    for nu in (0.5, 1e4):
+        for call in (bessel_j_zeros, bessel_j_zero):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"1..{MAX_ZEROS}, got {MAX_ZEROS + 1}"):
+                call(nu, MAX_ZEROS + 1)
+            assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize(
@@ -494,3 +530,15 @@ def test_laguerre_scaled_stays_finite_past_the_float_range():
     assert abs(laguerre(999, 1.0, 8000.0)) == math.inf
     m1, e1 = laguerre(3, 1.0, 2.0, scaled=True)
     assert (m1, e1) == (laguerre(3, 1.0, 2.0), 0)
+
+
+def test_laguerre_scaled_checks_the_degree_one_value_too():
+    # 1 + alpha - x went unscaled, and at degree 2 the product x L_1
+    # overflowed to inf before any check
+    m, e = laguerre(1, 0.0, 1e200, scaled=True)
+    assert abs(m) < 2.0**500 and e == 500
+    assert mp.ldexp(m, e) == pytest.approx(1.0 - 1e200, rel=1e-15)
+    # past 2^500 = 3.3e150 in |x|, degree 2 overflowed
+    for degree in (2, 3, 40):
+        m, e = laguerre(degree, 5.0, np.array([1e155, -1e155, 2.0]), scaled=True)
+        assert np.all(np.isfinite(m)) and np.all(np.abs(m) <= 2.0**500)
