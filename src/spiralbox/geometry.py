@@ -4,8 +4,8 @@ Closed forms exist for the two cases used by the physics layers (p = 1/2,
 the "hydrogen" spiral, and p = 1, the "polyene" spiral); a generic
 fixed-step Frenet integrator provides the independent reconstruction check
 for both.  The curvature, the turning angle and the closed forms take a
-float or an array of s.  The curvature is numpy arithmetic.  The others
-give every point of an array the value of its single-point evaluation, bit
+float or a list, tuple or array of s.  The curvature is numpy arithmetic.
+The others give every point the value of its single-point evaluation, bit
 for bit: `math` takes the logs, powers, cosines and sines point by point,
 since numpy's vector versions may differ in the last bit.
 """
@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .specfun import pointwise
+from .specfun import pointwise, shaped_like
 
 __all__ = [
     "CurvatureLaw",
@@ -65,7 +65,7 @@ class CurvatureLaw:
         if not ok.all():
             bad = flat[~ok][0].item()
             raise ValueError(f"sigma * s^p leaves the float range at s = {bad!r}")
-        return curvature.reshape(np.shape(s)) if isinstance(s, np.ndarray) else curvature.item()
+        return shaped_like(curvature, s)
 
     def turning_angle(self, s: float | np.ndarray) -> float | np.ndarray:
         """Integral of k, i.e. the tangent angle swept from the reference point.
@@ -85,7 +85,7 @@ class CurvatureLaw:
         bad = flat[~np.isfinite(theta)]
         if bad.size:
             raise ValueError(f"the turning angle overflows at s = {bad[0].item()!r}")
-        return theta.reshape(np.shape(s)) if isinstance(s, np.ndarray) else theta.item()
+        return shaped_like(theta, s)
 
 
 def _power(base: float, exponent: float) -> float:
@@ -99,10 +99,8 @@ def cs_functions(
     law: CurvatureLaw, s: float | np.ndarray
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """The (cos, sin) pair of the swept tangent angle for a power-law curve."""
-    theta = law.turning_angle(s)
-    if isinstance(theta, np.ndarray):
-        return pointwise(math.cos, theta), pointwise(math.sin, theta)
-    return math.cos(theta), math.sin(theta)
+    theta = np.asarray(law.turning_angle(s))
+    return shaped_like(pointwise(math.cos, theta), s), shaped_like(pointwise(math.sin, theta), s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,23 +131,18 @@ def _rotation(c: float, s: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def hydrogen_curve(
-    sigma: float,
-    s: float | np.ndarray,
-    s0: float = 1.0,
-    center: Sequence[float] = (0.0, 0.0),
-) -> np.ndarray:
-    """Point on the p = 1/2 spiral that winds around `center`.
+def hydrogen_curve(sigma: float, s: float | np.ndarray) -> np.ndarray:
+    """Point on the p = 1/2 spiral with reference point s0 = 1 and center (0, 0).
 
-    The curve obeys ||point - center|| = sigma * sqrt(s + sigma^2/4) and is
+    The curve obeys ||point|| = sigma * sqrt(s + sigma^2/4) and is
     arc-length parametrized with tangent (1, 0) at s0.  An array of s gives
     the points in an array of shape s.shape + (2,).
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0) or s0 <= 0.0:
-        raise ValueError("hydrogen curve is defined for s > 0 and s0 > 0")
+    if np.any(s <= 0.0):
+        raise ValueError("hydrogen curve is defined for s > 0")
     law = CurvatureLaw(sigma, 0.5)
-    c0, s0_ = cs_functions(law, s0)
+    c0, s0_ = cs_functions(law, 1.0)
     c, sn = cs_functions(law, s)
     half_sig2 = 0.5 * sigma * sigma
     if math.isinf(half_sig2):
@@ -158,15 +151,15 @@ def hydrogen_curve(
         root = sigma * np.sqrt(s)
         inner = np.stack([half_sig2 * c + root * sn, -root * c + half_sig2 * sn], axis=-1)
         # one matrix-vector product per point: BLAS fuses its multiply-adds
-        rotated = (_rotation(c0, s0_) @ inner[..., None])[..., 0]
-        return rotated + np.asarray(center, dtype=float)
+        return (_rotation(c0, s0_) @ inner[..., None])[..., 0]
 
 
 def polyene_curve(sigma: float, s: float | np.ndarray) -> np.ndarray:
     """Point on the p = 1 spiral with reference point s0 = 1 and center (0, 0).
 
-    Obeys the radius law ||point|| = sigma * s / sqrt(1 + sigma^2).  An array
-    of s gives the points in an array of shape s.shape + (2,).
+    Obeys the radius law ||point|| = sigma * s / sqrt(1 + sigma^2), which
+    is s to double precision once sigma^2 overflows.  An array of s gives
+    the points in an array of shape s.shape + (2,).
     """
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0.0):
@@ -175,7 +168,9 @@ def polyene_curve(sigma: float, s: float | np.ndarray) -> np.ndarray:
         raise ValueError("sigma must be positive")
     c, sn = cs_functions(CurvatureLaw(sigma, 1.0), s)
     with np.errstate(over="ignore", invalid="ignore"):  # callers check the points
-        amp = sigma * s / (1.0 + sigma * sigma)
+        # where sigma^2 overflows, amp = s/(sigma + 1/sigma) stays finite
+        big = math.isinf(sigma * sigma)
+        amp = s / (sigma + 1.0 / sigma) if big else sigma * s / (1.0 + sigma * sigma)
         return np.stack([amp * (c + sigma * sn), amp * (sn - sigma * c)], axis=-1)
 
 
@@ -286,14 +281,9 @@ def log_spaced(s_min: float, s_max: float, n: int) -> np.ndarray:
     return np.geomspace(s_min, s_max, n)
 
 
-def sample_hydrogen_curve(
-    sigma: float,
-    s_values: np.ndarray,
-    s0: float = 1.0,
-    center: Sequence[float] = (0.0, 0.0),
-) -> PlaneCurveSamples:
+def sample_hydrogen_curve(sigma: float, s_values: np.ndarray) -> PlaneCurveSamples:
     s = np.asarray(s_values, dtype=float)
-    return PlaneCurveSamples(s_values=s, points=hydrogen_curve(sigma, s, s0, center))
+    return PlaneCurveSamples(s_values=s, points=hydrogen_curve(sigma, s))
 
 
 def sample_polyene_curve(sigma: float, s_values: np.ndarray) -> PlaneCurveSamples:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import quantum, specfun
 
@@ -88,7 +88,10 @@ def heuristic_box_length(n_bonds: int, bond_nm: float = 0.139) -> float:
     """
     if n_bonds < 1:
         raise ValueError("need at least one bond")
-    return (n_bonds + 1) * bond_nm
+    length = (n_bonds + 1) * bond_nm
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"the box length must be finite and positive, got bond_nm = {bond_nm!r}")
+    return length
 
 
 @dataclass(frozen=True)
@@ -108,31 +111,21 @@ class FitResult:
 class FitRangeError(ValueError):
     """The target wavelength is outside the model's range for 0 <= omega <= the ceiling.
 
-    `attainable` is that range in nm, (lambda at the ceiling, lambda(0)).  A
-    target at or above lambda(0) is refused on lambda(0) alone, which the
-    message names as the longest wavelength the model gives; the shorter end,
-    about half a second of Bessel zeros at omega ~ 5000, is then computed by
-    `shortest` only when `attainable` is first read.
+    `longest` is lambda(0) in nm, and `shortest` lambda at the ceiling, or
+    None for a target at or above lambda(0), which is refused on lambda(0)
+    alone.
     """
 
-    def __init__(
-        self, name: str, target: float, longest: float, shortest: float | Callable[[], float]
-    ):
+    def __init__(self, name: str, target: float, longest: float, shortest: float | None = None):
         self.name = name
         self.target = target
-        self._longest = longest
-        self._shortest = shortest
-        if target >= longest:
+        self.longest = longest
+        self.shortest = shortest
+        if shortest is None:
             where = f"at or above {longest:.6g} nm, the longest attainable model wavelength"
         else:
             where = f"outside the attainable model range [{shortest:.6g}, {longest:.6g}] nm"
         super().__init__(f"{name}: lambda_exp = {target:.6g} nm is {where}")
-
-    @property
-    def attainable(self) -> tuple[float, float]:
-        if callable(self._shortest):
-            self._shortest = self._shortest()
-        return self._shortest, self._longest
 
 
 def lambda_model(sigma: float, mol: Molecule, mass: float = 1.0) -> float:
@@ -169,16 +162,13 @@ def fit_sigma(mol: Molecule, mass: float = 1.0, tol: float = 1e-6) -> FitResult:
     # cancels to 0 when lambda is far below the target
     lam: dict[float, float] = {}
 
-    def model(omega: float) -> float:
-        return lambda_model(1.0 / math.sqrt(1.0 + 4.0 * omega * omega), mol, mass)
-
     def excess(omega: float) -> float:
-        lam[omega] = model(omega)
+        lam[omega] = lambda_model(1.0 / math.sqrt(1.0 + 4.0 * omega * omega), mol, mass)
         return lam[omega] - target
 
     lo, g_lo = 0.0, excess(0.0)
     if g_lo <= 0.0:
-        raise FitRangeError(mol.name, target, lam[0.0], lambda: model(_OMEGA_CEILING))
+        raise FitRangeError(mol.name, target, lam[0.0])
     hi, g_hi = 1.0, excess(1.0)
     while g_hi > 0.0:
         if hi == _OMEGA_CEILING:
@@ -212,7 +202,11 @@ def fit_effective_mass(mol: Molecule) -> float:
     length = quantum.nm_to_bohr(mol.box_length)
     delta_e = (quantum.HC_EV_NM / mol.lambda_exp) / quantum.HARTREE_EV
     h = 2.0 * math.pi
-    return h * h * (2 * n + 1) / (8.0 * length * length * delta_e)
+    scale = 8.0 * length * length * delta_e
+    mass = h * h * (2 * n + 1) / scale if scale > 0.0 else math.inf
+    if not math.isfinite(mass):
+        raise ValueError(f"{mol.name}: the effective mass overflows at {mol.box_length!r} nm")
+    return mass
 
 
 def report(

@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Real
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -71,15 +70,18 @@ def geometry_induced_potential(k_value: float, mass: float) -> float:
     """Scalar potential -hbar^2 k^2 / (8 m) felt by a particle bound to a curve."""
     if mass <= 0.0:
         raise ValueError("mass must be positive")
-    return -k_value * k_value / (8.0 * mass)
+    value = -k_value * k_value / (8.0 * mass)
+    if not math.isfinite(value):
+        raise ValueError(f"the potential overflows at k = {k_value!r}, mass = {mass!r}")
+    return value
 
 
 def omega_from_sigma(sigma: float) -> float:
     """Bessel order omega = sqrt(|1 - 1/sigma^2|) / 2 of the spiral-box problem."""
-    if not (sigma > 0.0 and sigma * sigma > 0.0):
-        raise ValueError(f"sigma must be positive and sigma^2 must not underflow, got {sigma!r}")
-    inv_sq = 0.0 if math.isinf(sigma) else 1.0 / (sigma * sigma)
-    return 0.5 * math.sqrt(abs(1.0 - inv_sq))
+    sq = sigma * sigma
+    if not (sigma > 0.0 and sq > 0.0 and 1.0 / sq < math.inf):
+        raise ValueError(f"sigma must be positive and 1/sigma^2 must be finite, got {sigma!r}")
+    return 0.5 * math.sqrt(abs(1.0 - 1.0 / sq))
 
 
 @dataclass(frozen=True)
@@ -155,13 +157,13 @@ def spiral_box_normalization(spectrum: SpiralBoxSpectrum, n: int) -> float:
 
 
 def spiral_box_wavefunction(
-    spectrum: SpiralBoxSpectrum, n: int, s: float | Sequence[float]
-) -> float | list[float]:
+    spectrum: SpiralBoxSpectrum, n: int, s: float | np.ndarray
+) -> float | np.ndarray:
     """Normalized eigenfunction psi_n(s) on 0 <= s <= L.
 
-    A sequence of s gives the list of values, computed in one pass over the
-    grid with the normalization computed once; each equals the value of its
-    single point.
+    A list, tuple or array of s gives the array of values, computed in one
+    pass over the grid with the normalization computed once; each equals the
+    value of its single point.
     """
     length = spectrum.box_length
     points = np.asarray(s, dtype=float).reshape(-1)
@@ -172,10 +174,10 @@ def spiral_box_wavefunction(
     c1 = spiral_box_normalization(spectrum, n)
     with np.errstate(over="ignore"):  # bessel_j refuses x = inf
         x = j * np.minimum(points, length) / length
-    bessel = specfun.bessel_j(spectrum.omega, x.item() if isinstance(s, Real) else x)
+    bessel = specfun.bessel_j(spectrum.omega, x)
     with np.errstate(over="ignore", invalid="ignore"):  # callers check the values
         values = np.where(points == 0.0, 0.0, c1 * np.sqrt(points) * bessel)
-    return values.item() if isinstance(s, Real) else values.tolist()
+    return specfun.shaped_like(values, s)
 
 
 def pib_open_energy(n: int, box_length: float, mass: float) -> float:
@@ -183,7 +185,11 @@ def pib_open_energy(n: int, box_length: float, mass: float) -> float:
     if n < 1 or box_length <= 0.0 or mass <= 0.0:
         raise ValueError("n, box_length and mass must all be positive")
     h = 2.0 * math.pi  # Planck constant in atomic units
-    return h * h * n * n / (8.0 * mass * box_length * box_length)
+    scale = 8.0 * mass * box_length * box_length
+    energy = h * h * n * n / scale if scale > 0.0 else math.inf
+    if not math.isfinite(energy):
+        raise ValueError(f"the level overflows at box_length = {box_length!r}, mass = {mass!r}")
+    return energy
 
 
 def pib_closed_energy(n: int, box_length: float, mass: float) -> float:
@@ -235,67 +241,72 @@ _SHIFT_MAX = 2.0**21 * _LN2_HI
 
 
 def _hydrogen_raw(n: int, ell: int, a0: float, r: float | np.ndarray) -> tuple:
-    """z = 2r/(n a0) and exp(-z/2) z^ell L_{n-ell-1}^(2 ell+1)(z), unnormalized.
+    """z = 2r/(n a0) and exp(-z/2) z^ell L_{n-ell-1}^(2 ell+1)(z), unnormalized, at
+    every point of r, the latter as a mantissa and a power of two.
 
-    z times the ell = 0 function is the 1D state.  L comes as m 2^e and
-    exp(-z/2) as 2^-k exp(k ln 2 - z/2); the mantissas of the three factors
-    are multiplied and their powers of two joined in one `ldexp`, so a value
-    overflows or underflows only where the true value does.  A value that
-    overflows is refused.  Where z/2 passes _SHIFT_MAX, z and the value are 0.
+    L comes as m 2^e, exp(-z/2) as 2^-k exp(k ln 2 - z/2) and z^ell as m^ell
+    2^(e ell) with z = m 2^e; the mantissas of the three factors are
+    multiplied and their powers of two summed, for `_joined` to join.  Where
+    z/2 passes _SHIFT_MAX, z and the value are 0.
     """
     if not 0 <= ell < n:
         raise ValueError(f"need n >= 1 and 0 <= ell < n, got n = {n}, ell = {ell}")
     if not (math.isfinite(a0) and a0 > 0.0):
         raise ValueError(f"a0 must be finite and positive, got {a0!r}")
-    points = np.asarray(r, dtype=float)
+    points = np.asarray(r, dtype=float).reshape(-1)
     bad = points[~((0.0 < points) & (points < math.inf))]
     if bad.size:
         raise ValueError(f"positions must be finite and positive, got {bad[0].item()!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan is past _SHIFT_MAX
         z = 2.0 * points / (n * a0)
-        # past _SHIFT_MAX every value underflows: z = 0 stands in, and the value is 0
-        far = ~(0.5 * z <= _SHIFT_MAX)
-        z = np.where(far, 0.0, z)
-        lag, lag_exp = specfun.laguerre(n - ell - 1, 2.0 * ell + 1.0, z, scaled=True)
-        half = 0.5 * z
-        shift = np.where(half > _NORMAL_EXP, np.floor(half / _LN2_HI), 0.0)
-        reduced = (shift * _LN2_HI - half) + shift * _LN2_LO
-        decay, decay_exp = np.frexp(specfun.pointwise(math.exp, reduced))
-        power, power_exp = np.frexp(specfun.pointwise(pow, z, ell))
-        value = np.ldexp(
-            decay * power * lag, decay_exp + power_exp + lag_exp - shift.astype(np.int64)
-        )
-        value = np.where(far, 0.0, value)
-    bad = points[~np.isfinite(value)]
+    # past _SHIFT_MAX every value underflows: z = 0 stands in, and the value is 0
+    far = ~(0.5 * z <= _SHIFT_MAX)
+    z = np.where(far, 0.0, z)
+    lag, lag_exp = specfun.laguerre(n - ell - 1, 2.0 * ell + 1.0, z, scaled=True)
+    half = 0.5 * z
+    shift = np.where(half > _NORMAL_EXP, np.floor(half / _LN2_HI), 0.0)
+    reduced = (shift * _LN2_HI - half) + shift * _LN2_LO
+    decay, decay_exp = np.frexp(specfun.pointwise(math.exp, reduced))
+    # ell <= 84 wherever R's normalization is a float, so m^ell >= 2^-84 stays normal
+    base, base_exp = np.frexp(z)
+    power, power_exp = np.frexp(specfun.pointwise(pow, base, ell))
+    mantissa = np.where(far, 0.0, decay * power * lag)
+    return z, mantissa, decay_exp + power_exp + ell * base_exp + lag_exp - shift.astype(np.int64)
+
+
+def _joined(n: int, r: float | np.ndarray, mantissa: np.ndarray, exponent: np.ndarray):
+    """mantissa 2^exponent in one `ldexp`, so a value overflows or underflows
+    only where the true value does; a value that overflows is refused."""
+    with np.errstate(over="ignore"):  # refused below
+        value = np.ldexp(mantissa, exponent)
+    bad = np.asarray(r, dtype=float).reshape(-1)[~np.isfinite(value)]
     if bad.size:
         raise ValueError(f"hydrogen state n = {n} overflows at r = {bad[0].item()!r}")
-    return z, value
+    return value
 
 
 def hydrogen_wavefunction_1d(n: int, s: float | np.ndarray, a0: float = 1.0):
     """Normalized 1D bound state psi_N = B exp(-z/2) z L_{N-1}^(1)(z), z = 2s/(N a0),
-    at arc length s > 0; int psi^2 ds = 1 gives B = 1/sqrt(N^3 a0).  An array of s
-    gives the array of values in one pass, each equal to that of its single point.
+    at arc length s > 0; int psi^2 ds = 1 gives B = 1/sqrt(N^3 a0).
     """
-    z, raw = _hydrogen_raw(n, 0, a0, s)
-    values = 1.0 / math.sqrt(n**3 * a0) * z * raw
-    return values if isinstance(s, np.ndarray) else values.item()
+    z, mantissa, exponent = _hydrogen_raw(n, 0, a0, s)
+    values = 1.0 / math.sqrt(n**3 * a0) * z * _joined(n, s, mantissa, exponent)
+    return specfun.shaped_like(values, s)
 
 
 def hydrogen_radial_3d(n: int, ell: int, r: float | np.ndarray, a0: float = 1.0):
     """Radial function R_{n,ell}(r), normalized so that int r^2 R^2 dr = 1.
 
     N^2 = (2/(n a0))^3 / (2n (n+ell)!/(n-ell-1)!); the factorial ratio is a
-    product of 2 ell + 1 integers, exact in floating point.  A numpy array of
-    r gives the array of values, each equal to the value of its single point.
+    product of 2 ell + 1 integers, exact in floating point.  With a0 = a 4^k
+    and 2n (n+ell)!/(n-ell-1)! = b 4^j, a and b in [0.5, 2), N is that of a
+    and b times 2^-(3k+j), and that power of two joins the value's own.
     """
-    _, raw = _hydrogen_raw(n, ell, a0, r)
+    _, mantissa, exponent = _hydrogen_raw(n, ell, a0, r)
     ratio = math.prod(range(n - ell, n + ell + 1))
     if 2 * n * ratio > sys.float_info.max:
         raise ValueError(f"(n+ell)!/(n-ell-1)! overflows the normalization at n = {n}, ell = {ell}")
-    try:
-        norm = math.sqrt((2.0 / (n * a0)) ** 3 / (2.0 * n * ratio))
-    except OverflowError:
-        raise ValueError(f"the normalization overflows at a0 = {a0!r}") from None
-    values = norm * raw
-    return values if isinstance(r, np.ndarray) else values.item()
+    k, j = math.frexp(a0)[1] // 2, math.frexp(2.0 * n * ratio)[1] // 2
+    a, b = math.ldexp(a0, -2 * k), math.ldexp(2.0 * n * ratio, -2 * j)
+    norm = math.sqrt((2.0 / (n * a)) ** 3 / b)
+    return specfun.shaped_like(_joined(n, r, norm * mantissa, exponent - 3 * k - j), r)

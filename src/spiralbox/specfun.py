@@ -56,6 +56,13 @@ def pointwise(fn: Callable[..., float], values: np.ndarray, *args: float) -> np.
     return np.fromiter(each, float, values.size).reshape(values.shape)
 
 
+def shaped_like(values: np.ndarray, points) -> float | np.ndarray:
+    """The one rule for pointwise functions: `values`, one per point, as a float
+    for a scalar `points`, and as an array of their shape for a list, tuple or
+    array of points."""
+    return values.item() if np.ndim(points) == 0 else values.reshape(np.shape(points))
+
+
 def _bessel_leading_term(nu: float, x: np.ndarray) -> np.ndarray:
     # (x/2)^nu / Gamma(nu+1), in logs; the ascending series' next term is
     # -(x/2)^2/(nu+1) of it, below 2.5e-17 at x <= _LEADING_TERM_MAX
@@ -177,9 +184,9 @@ def bessel_j(nu: float, x: float | np.ndarray) -> float | np.ndarray:
     and 0 <= x <= 2e4, from the normalized backward recurrence; at x <= 1e-8,
     from its leading term (x/2)^nu / Gamma(nu+1).
 
-    A numpy array of x gives the array of J_nu at every point, in one pass
-    over the grid; a single x is a one-point array.  One point past 1e-8
-    takes the scalar sweep, which the zero finder also calls directly: a
+    A list, tuple or array of x gives the array of J_nu at every point, in
+    one pass over the grid; a single x is a one-point array.  One point past
+    1e-8 takes the scalar sweep, which the zero finder also calls directly: a
     one-point grid pass costs 17-37 times as much.
     """
     nu = _check_order(nu)
@@ -195,8 +202,7 @@ def bessel_j(nu: float, x: float | np.ndarray) -> float | np.ndarray:
         out[miller] = _bessel_miller(nu, flat[miller].item())
     elif miller.size:
         out[miller] = _bessel_miller_grid(nu, flat[miller])
-    out = out.reshape(np.shape(x))
-    return out if isinstance(x, np.ndarray) else out.item()
+    return shaped_like(out, x)
 
 
 def find_root(
@@ -282,11 +288,6 @@ def laguerre(degree: int, alpha: float, x: float | np.ndarray, scaled: bool = Fa
     """
     if degree < 0:
         raise ValueError(f"Laguerre degree must be >= 0, got {degree!r}")
-
-    def shaped(values: np.ndarray):
-        values = values.reshape(np.shape(x))
-        return values if isinstance(x, np.ndarray) else values.item()
-
     flat = np.asarray(x, dtype=float).reshape(-1)
     exponent = np.zeros(flat.size, dtype=np.int64)
     prev, cur = np.zeros(flat.size), np.ones(flat.size)  # L_{-1} = 0 and L_0
@@ -298,4 +299,6 @@ def laguerre(degree: int, alpha: float, x: float | np.ndarray, scaled: bool = Fa
                 cur[big] *= 2.0**-500
                 prev[big] *= 2.0**-500
                 exponent[big] += 500
-        return (shaped(cur), shaped(exponent)) if scaled else shaped(np.ldexp(cur, exponent))
+        if scaled:
+            return shaped_like(cur, x), shaped_like(exponent, x)
+        return shaped_like(np.ldexp(cur, exponent), x)

@@ -159,6 +159,16 @@ def test_tiny_sigma_writes_one_error_line_and_nothing_else(tmp_path):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
+def test_curve_sigma_whose_square_overflows_keeps_the_radius_law(tmp_path):
+    # amp = sigma s / (1 + sigma^2) was 0, and every point (0, -0)
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--sigma", "1e160", "--p", "1", "--samples", "50",
+                 "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    for s, x, y in ((float(c) for c in r) for r in rows):
+        assert math.hypot(x, y) == pytest.approx(s, rel=1e-9)
+
+
 def test_curve_invalid_range(tmp_path):
     code = main(
         ["curve", "--sigma", "1", "--s-min", "2", "--s-max", "1", "--output", str(tmp_path / "x")]
@@ -772,6 +782,17 @@ def test_hydrogen_non_finite_input_or_result_exits_2(tmp_path, capsys, flags):
     assert main(["hydrogen", *flags, "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_hydrogen_huge_a0_writes_the_3d_density_equal_to_the_1d_one(tmp_path):
+    # (2/(n a0))^3 underflowed past n a0 ~ 1e103, and prob_3d_radial read 0
+    out = tmp_path / "hyd.csv"
+    argv = ["hydrogen", "--n-level", "1", "--a0", "1e110", "--samples", "3"]
+    assert main([*argv, "--output", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == ["s", "psi_1d", "prob_1d", "prob_3d_radial"]
+    assert [r[3] for r in rows] == [r[2] for r in rows]
+    assert float(rows[0][2]) == pytest.approx(4.94104542e-111, rel=1e-9)
 
 
 def test_hydrogen_far_out_writes_zeros(tmp_path):

@@ -19,7 +19,14 @@ from spiralbox.polyene import (
     load_molecules,
     report,
 )
-from spiralbox.quantum import ParticleInBox, nm_to_bohr, transition_wavelength
+from spiralbox.quantum import (
+    ParticleInBox,
+    geometry_induced_potential,
+    nm_to_bohr,
+    omega_from_sigma,
+    pib_open_energy,
+    transition_wavelength,
+)
 from spiralbox.specfun import bessel_j_zeros
 from spiralbox.svgplot import report_bar_chart
 
@@ -210,8 +217,13 @@ def test_fit_reports_attainable_range():
     mol = make_molecule(*CHAINS[0][:3], lambda_exp=1e9)
     with pytest.raises(FitRangeError) as err:
         fit_sigma(mol)
-    lo, hi = err.value.attainable
-    assert 0.0 < lo < hi < 1e9
+    # refused on lambda(0) alone: the shorter end is not computed
+    assert err.value.shortest is None
+    assert 0.0 < err.value.longest < 1e9
+    mol = make_molecule(*CHAINS[0][:3], lambda_exp=1e-3)
+    with pytest.raises(FitRangeError) as err:
+        fit_sigma(mol)
+    assert 1e-3 < err.value.shortest < err.value.longest
 
 
 def test_attainable_range_of_tiny_wavelengths_is_not_rounded_away():
@@ -220,9 +232,9 @@ def test_attainable_range_of_tiny_wavelengths_is_not_rounded_away():
     mol = make_molecule(*CHAINS[0][:3], lambda_exp=400.0)
     with pytest.raises(FitRangeError) as err:
         fit_sigma(mol, mass=1e-160)
-    lo, hi = err.value.attainable
-    assert hi == lambda_model(1.0, mol, mass=1e-160)  # omega = 0
-    assert 0.0 < lo < hi < 1e-150
+    assert err.value.longest == lambda_model(1.0, mol, mass=1e-160)  # omega = 0
+    assert 0.0 < err.value.longest < 1e-150
+    assert err.value.shortest is None
 
 
 def test_transition_gap_rises_with_omega():
@@ -256,14 +268,13 @@ def test_target_at_lambda_zero_is_unreachable():
     for target in (lambda_zero, 1.5 * lambda_zero):
         with pytest.raises(FitRangeError) as err:
             fit_sigma(make_molecule(*CHAINS[0][:3], lambda_exp=target))
-        lo, hi = err.value.attainable
-        assert hi == lambda_zero
-        assert 0.0 < lo < hi
+        assert err.value.longest == lambda_zero
+        assert err.value.shortest is None
 
 
 def test_target_above_lambda_zero_is_refused_after_one_evaluation(monkeypatch):
-    # lambda at the omega ~ 5000 ceiling took about 0.56 s and only filled
-    # `attainable`; the refusal needs lambda(0) alone
+    # lambda at the omega ~ 5000 ceiling takes about 0.56 s; the refusal
+    # needs lambda(0) alone
     calls = []
 
     def counted(*args, **kwargs):
@@ -277,9 +288,23 @@ def test_target_above_lambda_zero_is_refused_after_one_evaluation(monkeypatch):
         fit_sigma(mol)
     assert calls == [1.0]  # sigma = 1: omega = 0
     assert f"{lambda_zero:.6g} nm, the longest attainable model wavelength" in str(err.value)
-    # the shorter end is computed only when it is asked for
-    lo, hi = err.value.attainable
-    assert len(calls) == 2 and hi == lambda_zero and 0.0 < lo < hi
+    assert err.value.longest == lambda_zero and err.value.shortest is None
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: omega_from_sigma(1e-160), "1e-160"),  # returned inf
+        (lambda: pib_open_energy(1, 1e-200, 1.0), "1e-200"),  # ZeroDivisionError
+        (lambda: pib_open_energy(1, 1e-160, 1.0), "1e-160"),  # returned inf
+        (lambda: fit_effective_mass(Molecule("m", 2, 1e-200, 400.0)), "1e-200"),
+        (lambda: geometry_induced_potential(1e200, 1.0), "1e+200"),  # returned -inf
+        (lambda: heuristic_box_length(3, 1e308), "1e+308"),  # returned inf
+    ],
+)
+def test_values_past_the_float_range_are_refused_by_name(call, value):
+    with pytest.raises(ValueError, match=value.replace("+", r"\+")):
+        call()
 
 
 def test_fit_requires_lambda_exp():

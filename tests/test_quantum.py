@@ -130,15 +130,15 @@ def test_wavefunction_boundary_values():
         assert abs(spiral_box_wavefunction(spec, n, spec.box_length)) <= 1e-9
 
 
-def test_wavefunction_of_a_sequence_is_the_list_of_point_values():
+def test_wavefunction_of_a_sequence_is_the_array_of_point_values():
     spec = spiral_box_spectrum(math.sqrt(0.004), 1.0, 1.0, 3)
     s = np.linspace(0.0, 1.0, 57)
     for n in (1, 3):
         values = spiral_box_wavefunction(spec, n, s)
-        assert isinstance(values, list)
-        assert values == [spiral_box_wavefunction(spec, n, float(x)) for x in s]
+        assert isinstance(values, np.ndarray) and values.shape == s.shape
+        assert values.tolist() == [spiral_box_wavefunction(spec, n, float(x)) for x in s]
     assert isinstance(spiral_box_wavefunction(spec, 2, 0.5), float)
-    assert spiral_box_wavefunction(spec, 2, []) == []
+    assert spiral_box_wavefunction(spec, 2, []).shape == (0,)
     with pytest.raises(ValueError):
         spiral_box_wavefunction(spec, 1, [0.5, 1.1])
 
@@ -448,9 +448,37 @@ def test_radial_norm_overflow_names_n_and_ell_not_a0():
         with pytest.raises(ValueError, match=f"n = {n}, ell = {ell}") as err:
             hydrogen_radial_3d(n, ell, 1.0, a0)
         assert "a0" not in str(err.value)
-    # a0 alone still names a0
-    with pytest.raises(ValueError, match="at a0 = 1e-300"):
-        hydrogen_radial_3d(1, 0, 1.0, 1e-300)
+    # a tiny a0 scales the normalization by a power of two: R underflows or
+    # overflows only where its true value does
+    assert hydrogen_radial_3d(1, 0, 1.0, 1e-300) == 0.0
+    with pytest.raises(ValueError, match="n = 1 overflows at r = 1e-301"):
+        hydrogen_radial_3d(1, 0, 1e-301, 1e-300)
+
+
+def test_radial_power_that_overflows_alone_is_taken_as_mantissa_and_exponent():
+    # pow(z, ell) raised a bare OverflowError at z = 3.3e5, ell = 59, where
+    # e^{-z/2} makes the true value underflow
+    assert hydrogen_radial_3d(60, 59, 1e7) == 0.0
+    assert hydrogen_radial_3d(60, 59, [1e7, 2e7]).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "n, ell, r, a0",
+    [
+        (41, 40, 4.1e-207, 1e-200),  # z^40 ~ 1e-320 and (2/(n a0))^3 ~ 1e596
+        (1, 0, 1.3e110, 1e110),  # (2/(n a0))^3 ~ 8e-330
+        (3, 1, 2.5e-150, 1e-150),
+        (85, 84, 7140.0, 1.0),  # (2/n)^3 / (2n 169!) ~ 2e-312 lost 4 digits
+    ],
+)
+def test_radial_normalization_joins_the_powers_of_two(n, ell, r, a0):
+    # each factor alone leaves the float range; R does not
+    with mp.workdps(30):
+        z = 2 * mp.mpf(r) / (n * mp.mpf(a0))
+        ratio = mp.fprod(range(n - ell, n + ell + 1))
+        norm = mp.sqrt((2 / (n * mp.mpf(a0))) ** 3 / (2 * n * ratio))
+        want = norm * mp.exp(-z / 2) * z**ell * mp.laguerre(n - ell - 1, 2 * ell + 1, z)
+    assert hydrogen_radial_3d(n, ell, r, a0) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
