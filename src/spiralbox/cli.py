@@ -278,9 +278,12 @@ def _emit_fit_table(
         columns.append(
             [polyene.fit_effective_mass(m) if m.lambda_exp is not None else None for m in mols]
         )
-    _write(args.output, _table(header, columns, []))
-    if args.svg:
-        _write(args.svg, svgplot.report_bar_chart(rows))
+    # both texts first: a chart that refuses a name leaves no table behind
+    table = _table(header, columns, [])
+    chart = svgplot.report_bar_chart(rows) if args.svg else None
+    _write(args.output, table)
+    if chart is not None:
+        _write(args.svg, chart)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:

@@ -127,50 +127,41 @@ class PlaneCurveSamples:
         return float(self.chord_lengths().sum())
 
 
-def _rotation(c: float, s: float) -> np.ndarray:
-    return np.array([[c, s], [-s, c]])
-
-
 def hydrogen_curve(sigma: float, s: float | np.ndarray) -> np.ndarray:
     """Point on the p = 1/2 spiral with reference point s0 = 1 and center (0, 0).
 
     The curve obeys ||point|| = sigma * sqrt(s + sigma^2/4) and is
-    arc-length parametrized with tangent (1, 0) at s0.  An array of s gives
-    the points in an array of shape s.shape + (2,).
+    arc-length parametrized with tangent (1, 0) at s0, from which the turning
+    angle is measured.  An array of s gives the points in an array of shape s.shape + (2,).
     """
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0):
-        raise ValueError("hydrogen curve is defined for s > 0")
     law = CurvatureLaw(sigma, 0.5)
-    c0, s0_ = cs_functions(law, 1.0)
-    c, sn = cs_functions(law, s)
+    phi = np.asarray(law.turning_angle(s) - law.turning_angle(1.0))
+    c, sn = pointwise(math.cos, phi), pointwise(math.sin, phi)
     half_sig2 = 0.5 * sigma * sigma
     if math.isinf(half_sig2):
         raise ValueError(f"sigma = {sigma!r} is too large: sigma^2 overflows")
     with np.errstate(over="ignore", invalid="ignore"):  # callers check the points
         root = sigma * np.sqrt(s)
-        inner = np.stack([half_sig2 * c + root * sn, -root * c + half_sig2 * sn], axis=-1)
-        # one matrix-vector product per point: BLAS fuses its multiply-adds
-        return (_rotation(c0, s0_) @ inner[..., None])[..., 0]
+        return np.stack([half_sig2 * c + root * sn, -root * c + half_sig2 * sn], axis=-1)
 
 
 def polyene_curve(sigma: float, s: float | np.ndarray) -> np.ndarray:
     """Point on the p = 1 spiral with reference point s0 = 1 and center (0, 0).
 
     Obeys the radius law ||point|| = sigma * s / sqrt(1 + sigma^2), which
-    is s to double precision once sigma^2 overflows.  An array of s gives
-    the points in an array of shape s.shape + (2,).
+    is s to double precision once sigma^2 overflows, and stays finite where
+    sigma * s overflows.  An array of s gives the points in an array of
+    shape s.shape + (2,).
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0):
-        raise ValueError("polyene curve is defined for s > 0")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
     c, sn = cs_functions(CurvatureLaw(sigma, 1.0), s)
+    sq = sigma * sigma
     with np.errstate(over="ignore", invalid="ignore"):  # callers check the points
-        # where sigma^2 overflows, amp = s/(sigma + 1/sigma) stays finite
-        big = math.isinf(sigma * sigma)
-        amp = s / (sigma + 1.0 / sigma) if big else sigma * s / (1.0 + sigma * sigma)
+        if math.isinf(sq):  # amp = s/(sigma + 1/sigma) stays finite
+            amp = s / (sigma + 1.0 / sigma)
+        else:  # where sigma s overflows, s sigma/(1 + sigma^2) does not
+            sig_s = sigma * s
+            amp = np.where(np.isinf(sig_s), s * (sigma / (1.0 + sq)), sig_s / (1.0 + sq))
         return np.stack([amp * (c + sigma * sn), amp * (sn - sigma * c)], axis=-1)
 
 

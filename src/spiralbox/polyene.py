@@ -203,9 +203,10 @@ def fit_effective_mass(mol: Molecule) -> float:
     delta_e = (quantum.HC_EV_NM / mol.lambda_exp) / quantum.HARTREE_EV
     h = 2.0 * math.pi
     scale = 8.0 * length * length * delta_e
-    mass = h * h * (2 * n + 1) / scale if scale > 0.0 else math.inf
+    # a scale past the float range would make the mass 0
+    mass = h * h * (2 * n + 1) / scale if 0.0 < scale < math.inf else math.inf
     if not math.isfinite(mass):
-        raise ValueError(f"{mol.name}: the effective mass overflows at {mol.box_length!r} nm")
+        raise ValueError(f"{mol.name}: the effective mass is out of range at {mol.box_length!r} nm")
     return mass
 
 

@@ -70,7 +70,8 @@ def geometry_induced_potential(k_value: float, mass: float) -> float:
     """Scalar potential -hbar^2 k^2 / (8 m) felt by a particle bound to a curve."""
     if mass <= 0.0:
         raise ValueError("mass must be positive")
-    value = -k_value * k_value / (8.0 * mass)
+    # k/m first: k^2 and 8 m can leave the float range where the potential does not
+    value = -(k_value / mass) * k_value / 8.0
     if not math.isfinite(value):
         raise ValueError(f"the potential overflows at k = {k_value!r}, mass = {mass!r}")
     return value
@@ -126,10 +127,11 @@ def spiral_box_spectrum(
     omega = omega_from_sigma(sigma)
     zeros = specfun.bessel_j_zeros(omega, n_levels)
     scale = 2.0 * mass * box_length * box_length
-    pref = 1.0 / scale if scale > 0.0 else math.inf
+    # 2 m L^2 past the float range would make every energy 0
+    pref = 1.0 / scale if 0.0 < scale < math.inf else math.inf
     energies = tuple(pref * j * j for j in zeros)
     if not math.isfinite(energies[-1]):
-        raise ValueError(f"energies overflow at mass = {mass!r}, box_length = {box_length!r}")
+        raise ValueError(f"energies leave the float range at mass = {mass!r}, L = {box_length!r}")
     return SpiralBoxSpectrum(
         sigma=sigma,
         omega=omega,
@@ -186,15 +188,16 @@ def pib_open_energy(n: int, box_length: float, mass: float) -> float:
         raise ValueError("n, box_length and mass must all be positive")
     h = 2.0 * math.pi  # Planck constant in atomic units
     scale = 8.0 * mass * box_length * box_length
-    energy = h * h * n * n / scale if scale > 0.0 else math.inf
+    # 8 m L^2 past the float range would make the level 0
+    energy = h * h * n * n / scale if 0.0 < scale < math.inf else math.inf
     if not math.isfinite(energy):
-        raise ValueError(f"the level overflows at box_length = {box_length!r}, mass = {mass!r}")
+        raise ValueError(f"the level leaves the float range at L = {box_length!r}, mass = {mass!r}")
     return energy
 
 
 def pib_closed_energy(n: int, box_length: float, mass: float) -> float:
-    """Level of the closed curve (periodic boundary), exactly 4x the open value."""
-    return 4.0 * pib_open_energy(n, box_length, mass)
+    """Level of the closed curve (periodic boundary): the open level 2n, 4x the open level n."""
+    return pib_open_energy(2 * n, box_length, mass)
 
 
 @dataclass(frozen=True)

@@ -283,12 +283,15 @@ def laguerre(degree: int, alpha: float, x: float | np.ndarray, scaled: bool = Fa
 
     With `scaled`, returns (m, e) with L = m 2^e, e an integer array in the
     shape of x (an int for a single x): a value past 2^500 is scaled by
-    2^-500 as the recurrence runs, degree 1 included, so m stays finite for
-    |x| < 2^500, also where L overflows.
+    2^-500 as the recurrence runs, degree 1 included, so m stays finite, also
+    where L overflows.  |x| or |alpha| past 2^500 is refused with ValueError.
     """
-    if degree < 0:
-        raise ValueError(f"Laguerre degree must be >= 0, got {degree!r}")
+    if degree < 0 or not abs(alpha) <= 2.0**500:
+        raise ValueError(f"Laguerre needs degree >= 0, |alpha| <= 2^500; got {degree!r}, {alpha!r}")
     flat = np.asarray(x, dtype=float).reshape(-1)
+    bad = flat[~(np.abs(flat) <= 2.0**500)]
+    if bad.size:
+        raise ValueError(f"Laguerre needs |x| <= 2^500, got {bad[0].item()!r}")
     exponent = np.zeros(flat.size, dtype=np.int64)
     prev, cur = np.zeros(flat.size), np.ones(flat.size)  # L_{-1} = 0 and L_0
     with np.errstate(over="ignore", invalid="ignore"):  # a huge x gives inf or nan

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import mpmath as mp
@@ -164,6 +165,16 @@ def test_curve_sigma_whose_square_overflows_keeps_the_radius_law(tmp_path):
     out = tmp_path / "curve.csv"
     assert main(["curve", "--sigma", "1e160", "--p", "1", "--samples", "50",
                  "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    for s, x, y in ((float(c) for c in r) for r in rows):
+        assert math.hypot(x, y) == pytest.approx(s, rel=1e-9)
+
+
+def test_curve_where_sigma_s_overflows_keeps_the_radius_law(tmp_path):
+    # sigma s overflowed to inf, and the command exited 2
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--sigma", "1e100", "--p", "1", "--s-min", "1e290", "--s-max", "1e300",
+                 "--samples", "3", "--output", str(out)]) == 0
     _, rows = read_csv(out)
     for s, x, y in ((float(c) for c in r) for r in rows):
         assert math.hypot(x, y) == pytest.approx(s, rel=1e-9)
@@ -565,6 +576,22 @@ def _csv_writer_table(rows, masses):
         numbers = (row.sigma, row.omega, row.lambda_calc, row.lambda_exp, row.percent_error, mass)
         writer.writerow([row.name, *map(cell, numbers)])
     return buf.getvalue()
+
+
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_fit_and_report_charts_escape_the_molecule_name(tmp_path, command):
+    # the name went into the SVG as it was, and no XML parser read the file
+    name = "A<&>\"B'"
+    mol_file = tmp_path / "odd.json"
+    mol_file.write_text(json.dumps([{"name": name, "n_pi": 8, "box_length_nm": 1.39,
+                                     "lambda_exp_nm": 387.268385959, "source": "synthetic"}]))
+    flags = ["--sigmas", "0.05"] if command == "report" else []
+    chart = tmp_path / "chart.svg"
+    argv = [command, "--molecules", str(mol_file), *flags, "--svg", str(chart),
+            "--output", str(tmp_path / "table.csv")]
+    assert main(argv) == 0
+    texts = [el.text for el in ET.parse(chart).iter("{http://www.w3.org/2000/svg}text")]
+    assert name in texts
 
 
 @pytest.mark.parametrize("command", ["fit", "report"])

@@ -138,6 +138,13 @@ def test_polyene_radius_identity_where_sigma_squared_overflows(sigma):
     assert np.all(np.abs(r / s - 1.0) <= 1e-15)
 
 
+def test_polyene_radius_identity_where_sigma_s_overflows():
+    # amp = sigma s / (1 + sigma^2) was inf there, though every point is finite
+    s = np.array([1e10, 1e290, 1e295, 1e300])
+    r = np.hypot(*polyene_curve(1e100, s).T)
+    assert np.all(np.abs(r / s - 1.0) <= 1e-15)
+
+
 def test_polyene_reference_point():
     for sigma in (0.1, 0.5, 2.0):
         expected = sigma / (1.0 + sigma * sigma) * np.array([1.0, -sigma])
@@ -219,8 +226,10 @@ def test_turning_angle_of_an_array_names_the_first_failing_s():
 
 
 def test_closed_forms_leaving_the_float_range_give_non_finite_points_silently():
-    # the caller checks the points; numpy must not warn on the way
-    assert not np.all(np.isfinite(polyene_curve(1e100, np.array([1e10, 1e300]))))
+    # the caller checks the points; numpy must not warn on the way.  sigma sqrt(s)
+    # overflows here, and so does the true radius sigma sqrt(s + sigma^2/4)
+    points = hydrogen_curve(1.8e154, np.array([1.0, 1.7e308]))
+    assert np.all(np.isfinite(points[0])) and not np.any(np.isfinite(points[1]))
 
 
 def test_polyene_approaches_center_faster_than_hydrogen():

@@ -248,6 +248,13 @@ def test_pib_closed_is_exactly_four_times_open():
         assert pib_closed_energy(n, length, mass) == 4.0 * pib_open_energy(n, length, mass)
 
 
+def test_pib_closed_energy_refuses_its_own_overflow():
+    # the open level, about 1.1e308, is finite; 4x it returned inf
+    assert math.isfinite(pib_open_energy(1, 2e-154, 1.0))
+    with pytest.raises(ValueError, match="leaves the float range at L = 2e-154"):
+        pib_closed_energy(1, 2e-154, 1.0)
+
+
 def test_pib_matches_angular_frequency_form():
     # h^2 n^2 / (8 m L^2) == pi^2 hbar^2 n^2 / (2 m L^2) with h = 2 pi hbar
     for n in (1, 4):

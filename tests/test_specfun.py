@@ -535,10 +535,20 @@ def test_laguerre_scaled_stays_finite_past_the_float_range():
 def test_laguerre_scaled_checks_the_degree_one_value_too():
     # 1 + alpha - x went unscaled, and at degree 2 the product x L_1
     # overflowed to inf before any check
-    m, e = laguerre(1, 0.0, 1e200, scaled=True)
+    m, e = laguerre(1, 2.0**499, -(2.0**500), scaled=True)
     assert abs(m) < 2.0**500 and e == 500
-    assert mp.ldexp(m, e) == pytest.approx(1.0 - 1e200, rel=1e-15)
-    # past 2^500 = 3.3e150 in |x|, degree 2 overflowed
+    assert mp.ldexp(m, e) == pytest.approx(1.0 + 1.5 * 2.0**500, rel=1e-15)
+    # at the edge of the range, |x| = 2^500 = 3.3e150
     for degree in (2, 3, 40):
-        m, e = laguerre(degree, 5.0, np.array([1e155, -1e155, 2.0]), scaled=True)
+        m, e = laguerre(degree, 5.0, np.array([2.0**500, -(2.0**500), 2.0]), scaled=True)
         assert np.all(np.isfinite(m)) and np.all(np.abs(m) <= 2.0**500)
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_laguerre_refuses_x_and_alpha_past_two_to_the_500(scaled):
+    # L_10(1e200) is about 2.8e1993, and both forms gave nan
+    with pytest.raises(ValueError, match=r"\|x\| <= 2\^500, got 1e\+200$"):
+        laguerre(10, 0.0, np.array([1.0, 1e200]), scaled=scaled)
+    with pytest.raises(ValueError, match=r"\|alpha\| <= 2\^500"):
+        laguerre(10, -1e200, 1.0, scaled=scaled)
+    laguerre(10, 2.0**500, -(2.0**500), scaled=scaled)  # the edge itself is taken
