@@ -36,7 +36,8 @@ def _num(v: float) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    # encoded first: text that UTF-8 cannot carry leaves no file behind
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 def _fail(message: str, code: int) -> int:

@@ -13,6 +13,7 @@ since numpy's vector versions may differ in the last bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -162,7 +163,13 @@ def polyene_curve(sigma: float, s: float | np.ndarray) -> np.ndarray:
         else:  # where sigma s overflows, s sigma/(1 + sigma^2) does not
             sig_s = sigma * s
             amp = np.where(np.isinf(sig_s), s * (sigma / (1.0 + sq)), sig_s / (1.0 + sq))
-        return np.stack([amp * (c + sigma * sn), amp * (sn - sigma * c)], axis=-1)
+        x, y = amp * (c + sigma * sn), amp * (sn - sigma * c)
+        # with sigma > 1, amp can be subnormal where the radius s / (1 + sigma^-2) is not
+        if sigma > 1.0:
+            r, tiny = s / (1.0 + 1.0 / sq), amp < sys.float_info.min
+            x = np.where(tiny, r * (c / sigma + sn), x)
+            y = np.where(tiny, r * (sn / sigma - c), y)
+        return np.stack([x, y], axis=-1)
 
 
 def frenet_integrate(k: Callable, s0: float, s1: float, steps: int) -> PlaneCurveSamples:

@@ -7,6 +7,7 @@ can be diffed byte for byte.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Sequence
 
@@ -79,6 +80,8 @@ def report_bar_chart(rows: Sequence) -> str:
     plot_h = CHART_HEIGHT - top - bottom
     values = [v for r in rows for v in (r.lambda_calc, r.lambda_exp) if v is not None]
     vmax = max(values) * 1.1 if values else 1.0
+    if not math.isfinite(plot_h * vmax):  # a bar's plot_h * value would overflow too
+        raise ValueError(f"a wavelength of {max(values)!r} nm is too large to chart")
     font = {"font_family": "sans-serif"}
     body = []
     for frac in (i / 5.0 for i in range(6)):  # y axis with 5 ticks

@@ -621,6 +621,17 @@ def test_fit_and_report_tables_are_csv_writer_bytes(tmp_path, capsys, command):
         assert "not measured, yet: no lambda_exp_nm, fit skipped" in capsys.readouterr().err
 
 
+def test_text_that_utf8_cannot_carry_exits_2_and_writes_no_file(tmp_path, capsys):
+    # a lone surrogate in a name: the file was opened first and left empty
+    mol_file = tmp_path / "s.json"
+    mol_file.write_text('[{"name": "a\\ud800b", "n_pi": 8, "box_length_nm": 1.39, "source": "x"}]')
+    out = tmp_path / "s.csv"
+    argv = ["report", "--molecules", str(mol_file), "--sigmas", "0.05", "--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_integer_wavelength_is_written_like_any_number(tmp_path):
     # JSON 12345678901 loads as an int; the table prints it at 10 digits
     mol_file = tmp_path / "int.json"

@@ -10,6 +10,7 @@ import pytest
 from spiralbox import polyene
 from spiralbox.polyene import (
     FitRangeError,
+    FitResult,
     Molecule,
     fit_effective_mass,
     fit_sigma,
@@ -380,6 +381,17 @@ def test_report_writes_svg(tmp_path):
     content = svg.read_text()
     assert content.startswith("<svg")
     assert "rect" in content
+
+
+@pytest.mark.parametrize("wavelength", [1e306, 1.7e308])
+def test_report_chart_refuses_a_wavelength_whose_scale_overflows(wavelength):
+    # 1.1 max overflowed at 1.7e308 (tick labels nan and inf), and a bar's
+    # height, 270 * value / (1.1 max), from about 6.6e305 on
+    row = FitResult("a", 0.05, 1.0, wavelength, None, None, 0, False)
+    with pytest.raises(ValueError, match="too large to chart"):
+        report_bar_chart([row])
+    chart = report_bar_chart([FitResult("a", 0.05, 1.0, 6e305, None, None, 0, False)])
+    assert "inf" not in chart and "nan" not in chart
 
 
 def test_report_length_mismatch():

@@ -175,6 +175,7 @@ def test_curvature_law_and_its_turning_angle(sigma, p, s):
 @PROPERTY
 @given(sigma=SIGNED, s=SIGNED)
 @example(sigma=1e100, s=1e300)  # sigma s overflowed
+@example(sigma=1e15, s=1e-300)  # amp was subnormal: 1.5e-9 off
 def test_closed_forms_keep_their_radius_laws(sigma, s):
     laws = (
         (geometry.hydrogen_curve, lambda a, v: a * mp.sqrt(v + a * a / 4)),

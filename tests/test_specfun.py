@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import mp_bessel_j
+from spiralbox import specfun
 from spiralbox.specfun import (
     MAX_ZEROS,
     bessel_j,
@@ -422,6 +423,48 @@ def test_zeros_match_mpmath(nu):
             ref = mp.besseljzero(mp.mpf(nu), n)
             assert abs(mp.mpf(z) / ref - 1) <= rel, (nu, n)
     assert bessel_j_zero(nu, 4) == zeros[3]
+
+
+def test_zeros_where_the_scan_skips_match_mpmath():
+    # seeded orders in [0, 1], in [0, 40] and log-uniform over [1e-3, 1e3],
+    # with 1-9 zeros each.  The scan starts at nu + 1.855 nu^(1/3), below Qu
+    # and Wong's bound on j_{nu,1}, and resumes 3 past each zero.  mpmath
+    # refines each zero from ours (its defaults fail at large orders, hence
+    # maxprec).  The bound is the README's 3.2e-16; the worst of these 485
+    # zeros is 2.45e-16
+    rng = np.random.default_rng(20261024)
+    for i in range(90):
+        draws = (rng.uniform(0.0, 1.0), rng.uniform(0.0, 40.0), 10.0 ** rng.uniform(-3.0, 3.0))
+        nu = float(draws[i % 3])
+        zeros = bessel_j_zeros(nu, int(rng.integers(1, 10)))
+        assert bessel_j(nu, nu + 1.855 * nu ** (1.0 / 3.0)) > 0.0, nu
+        assert all(b - a > 3.0 for a, b in zip(zeros, zeros[1:])), nu
+        with mp.workdps(30):
+            for z in zeros:
+                ref = mp.findroot(lambda x: mp.besselj(nu, x, maxprec=60000), mp.mpf(z))
+                assert abs(mp.mpf(z) / ref - 1) <= 3.2e-16, (nu, z)
+
+
+def test_zero_scan_sweep_count(monkeypatch):
+    # 9 zeros of J_7.89: the scan makes 19 sweeps (one at nu + 1.855 nu^(1/3),
+    # one 3 past each zero but the last, and 10 quarter steps), find_root the
+    # other 116
+    sweeps, refined = [], []
+    miller, find_root = specfun._bessel_miller, specfun.find_root
+
+    def counted_miller(nu, x):
+        sweeps.append(x)
+        return miller(nu, x)
+
+    def counted_find_root(*args):
+        root = find_root(*args)
+        refined.append(root[2])
+        return root
+
+    monkeypatch.setattr(specfun, "_bessel_miller", counted_miller)
+    monkeypatch.setattr(specfun, "find_root", counted_find_root)
+    bessel_j_zeros(7.89, 9)
+    assert (len(sweeps), sum(refined)) == (135, 116)
 
 
 # --- find_root ----------------------------------------------------------------
