@@ -158,17 +158,14 @@ def polyene_curve(sigma: float, s: float | np.ndarray) -> np.ndarray:
     c, sn = cs_functions(CurvatureLaw(sigma, 1.0), s)
     sq = sigma * sigma
     with np.errstate(over="ignore", invalid="ignore"):  # callers check the points
-        if math.isinf(sq):  # amp = s/(sigma + 1/sigma) stays finite
-            amp = s / (sigma + 1.0 / sigma)
-        else:  # where sigma s overflows, s sigma/(1 + sigma^2) does not
-            sig_s = sigma * s
-            amp = np.where(np.isinf(sig_s), s * (sigma / (1.0 + sq)), sig_s / (1.0 + sq))
+        amp = sigma * s / (1.0 + sq)
         x, y = amp * (c + sigma * sn), amp * (sn - sigma * c)
-        # with sigma > 1, amp can be subnormal where the radius s / (1 + sigma^-2) is not
+        # with sigma > 1, amp is 0 or nan where sigma^2 overflows, inf or nan where
+        # sigma s does, and may be subnormal, where the radius s / (1 + sigma^-2) is not
         if sigma > 1.0:
-            r, tiny = s / (1.0 + 1.0 / sq), amp < sys.float_info.min
-            x = np.where(tiny, r * (c / sigma + sn), x)
-            y = np.where(tiny, r * (sn / sigma - c), y)
+            r, lost = s / (1.0 + 1.0 / sq), ~((amp >= sys.float_info.min) & (amp < math.inf))
+            x = np.where(lost, r * (c / sigma + sn), x)
+            y = np.where(lost, r * (sn / sigma - c), y)
         return np.stack([x, y], axis=-1)
 
 

@@ -248,27 +248,35 @@ def find_root(
 _ZERO_GAP = 3.0
 _SCAN_STEP = math.pi / 4.0
 
-# The zero scan costs about count^2: 150 zeros take 3657 recurrence sweeps,
-# about 8 s, at the largest order, nu ~ 1e4 (sigma = 5e-5), and 2391, about
-# 0.25 s, at nu ~ 17 (sigma = 0.03), on a shared 2-vCPU host.
+# The zero scan costs about count^2: 150 zeros take 3771 recurrence sweeps,
+# 7.5-19 s on a shared 2-vCPU host, at the largest order, nu ~ 1e4
+# (sigma = 5e-5), and 2141 sweeps, 0.2 s, at nu ~ 17 (sigma = 0.03).
 MAX_ZEROS = 150
+
+
+def _skip_steps(x: float, limit: float) -> float:
+    """The last point of the scan's grid x, x + step, ... at or below `limit`."""
+    while x + _SCAN_STEP <= limit:
+        x += _SCAN_STEP
+    return x
 
 
 def bessel_j_zeros(nu: float, count: int) -> tuple[float, ...]:
     """The first `count` positive zeros j_{nu,1} < ... < j_{nu,count} of J_nu.
 
-    A sign-change scan in quarter-period steps, each bracket refined by
-    :func:`find_root`.  It starts at max(nu + 1/2, nu + 1.855 nu^(1/3)),
-    below Qu and Wong's bound j_{nu,1} > nu + 1.8557 nu^(1/3) (Trans. AMS
-    351, 1999), so J_nu > 0 there, and it resumes 3 past each zero, where
-    the spacing of the zeros puts no other.  At most MAX_ZEROS zeros are
-    computed; a larger count is refused with ValueError.
+    A sign-change scan upward from nu + 0.5 in quarter-period steps, each
+    bracket refined by :func:`find_root`.  The scan does not evaluate the
+    steps that provably hold no zero: those below nu + 1.855 nu^(1/3), under
+    Qu and Wong's bound j_{nu,1} > nu + 1.8557 nu^(1/3) (Trans. AMS 351,
+    1999), and those within 3 past a zero.  Its brackets, and so its zeros,
+    are those of the scan that evaluates every step.  At most
+    MAX_ZEROS zeros are computed; a larger count is refused with ValueError.
     """
     nu = _check_order(nu)
     if not 1 <= count <= MAX_ZEROS:
         raise ValueError(f"zero count must lie in 1..{MAX_ZEROS}, got {count!r}")
     zeros: list[float] = []
-    x = nu + max(0.5, 1.855 * nu ** (1.0 / 3.0))
+    x = _skip_steps(nu + 0.5, nu + 1.855 * nu ** (1.0 / 3.0))
     fx = _bessel_miller(nu, x)
     while True:
         x_next = x + _SCAN_STEP
@@ -280,7 +288,7 @@ def bessel_j_zeros(nu: float, count: int) -> tuple[float, ...]:
                      find_root(lambda t: _bessel_miller(nu, t), x, x_next, fx, f_next)[0])
         if len(zeros) == count:
             return tuple(zeros)
-        x = zeros[-1] + _ZERO_GAP
+        x = _skip_steps(x_next, zeros[-1] + _ZERO_GAP)
         fx = _bessel_miller(nu, x)
 
 

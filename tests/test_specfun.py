@@ -425,30 +425,51 @@ def test_zeros_match_mpmath(nu):
     assert bessel_j_zero(nu, 4) == zeros[3]
 
 
+def _scan_every_step(nu, count):
+    # the scan from nu + 1/2 that evaluates J_nu at every quarter step
+    miller, zeros = specfun._bessel_miller, []
+    x, fx = nu + 0.5, miller(nu, nu + 0.5)
+    while len(zeros) < count:
+        x_next = x + math.pi / 4.0
+        f_next = miller(nu, x_next)
+        if f_next == 0.0:
+            zeros.append(x_next)
+            f_next = -fx
+        elif (fx < 0.0) != (f_next < 0.0):
+            zeros.append(find_root(lambda t: miller(nu, t), x, x_next, fx, f_next)[0])
+        x, fx = x_next, f_next
+    return tuple(zeros)
+
+
 def test_zeros_where_the_scan_skips_match_mpmath():
     # seeded orders in [0, 1], in [0, 40] and log-uniform over [1e-3, 1e3],
-    # with 1-9 zeros each.  The scan starts at nu + 1.855 nu^(1/3), below Qu
-    # and Wong's bound on j_{nu,1}, and resumes 3 past each zero.  mpmath
-    # refines each zero from ours (its defaults fail at large orders, hence
-    # maxprec).  The bound is the README's 3.2e-16; the worst of these 485
-    # zeros is 2.45e-16
+    # with 1-9 zeros each.  The skipped steps hold no zero: J_nu > 0 at
+    # nu + 1.855 nu^(1/3), below Qu and Wong's bound on j_{nu,1}, and the
+    # zeros lie more than 3 apart; the zeros are bit for bit those of the scan
+    # that skips none.  Each zero's relative error is one Newton step in
+    # mpmath, J_nu/(z J_nu'), which mp.findroot matches to 1e-31 here (its
+    # defaults fail at large orders, hence maxprec).  The bound is the
+    # README's 3.2e-16: the worst of these 485 zeros, nu = 0.355, is 2.35e-16 off
     rng = np.random.default_rng(20261024)
     for i in range(90):
         draws = (rng.uniform(0.0, 1.0), rng.uniform(0.0, 40.0), 10.0 ** rng.uniform(-3.0, 3.0))
         nu = float(draws[i % 3])
         zeros = bessel_j_zeros(nu, int(rng.integers(1, 10)))
+        assert zeros == _scan_every_step(nu, len(zeros)), nu
         assert bessel_j(nu, nu + 1.855 * nu ** (1.0 / 3.0)) > 0.0, nu
         assert all(b - a > 3.0 for a, b in zip(zeros, zeros[1:])), nu
         with mp.workdps(30):
-            for z in zeros:
-                ref = mp.findroot(lambda x: mp.besselj(nu, x, maxprec=60000), mp.mpf(z))
-                assert abs(mp.mpf(z) / ref - 1) <= 3.2e-16, (nu, z)
+            for z in map(mp.mpf, zeros):
+                step = mp.besselj(nu, z, maxprec=60000) / mp.besselj(nu, z, 1, maxprec=60000)
+                assert abs(step / z) <= 3.2e-16, (nu, z)
 
 
 def test_zero_scan_sweep_count(monkeypatch):
-    # 9 zeros of J_7.89: the scan makes 19 sweeps (one at nu + 1.855 nu^(1/3),
-    # one 3 past each zero but the last, and 10 quarter steps), find_root the
-    # other 116
+    # 9 zeros of J_7.89: the scan makes 22 sweeps (one at the last step below
+    # nu + 1.855 nu^(1/3), one at the last step within 3 past each zero but
+    # the last, and 13 quarter steps), where the scan that skips none makes
+    # 41.  The sweeps of find_root, which refines the same brackets either
+    # way, are not counted
     sweeps, refined = [], []
     miller, find_root = specfun._bessel_miller, specfun.find_root
 
@@ -464,7 +485,7 @@ def test_zero_scan_sweep_count(monkeypatch):
     monkeypatch.setattr(specfun, "_bessel_miller", counted_miller)
     monkeypatch.setattr(specfun, "find_root", counted_find_root)
     bessel_j_zeros(7.89, 9)
-    assert (len(sweeps), sum(refined)) == (135, 116)
+    assert len(sweeps) - sum(refined) == 22
 
 
 # --- find_root ----------------------------------------------------------------
