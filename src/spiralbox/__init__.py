@@ -26,7 +26,6 @@ from .polyene import (
     report,
 )
 from .quantum import (
-    ParticleInBox,
     SpiralBoxSpectrum,
     geometry_induced_potential,
     hydrogen_radial_3d,

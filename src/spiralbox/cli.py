@@ -93,7 +93,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if p in (0.5, 1.0):
         # closed forms, centered on the spiral's focal point
         if args.spacing == "log":
-            s_vals = geometry.log_spaced(args.s_min, args.s_max, args.samples)
+            s_vals = np.geomspace(args.s_min, args.s_max, args.samples)
         else:
             s_vals = np.linspace(args.s_min, args.s_max, args.samples)
         try:
@@ -364,10 +364,8 @@ def cmd_hydrogen(args: argparse.Namespace) -> int:
         return _fail(f"--s-max must be finite and positive, got {s_max!r}", 2)
     s_vals = np.linspace(s_max / args.samples, s_max, args.samples)
     psi = quantum.hydrogen_wavefunction_1d(n, s_vals, a0)
-    radial = quantum.hydrogen_radial_3d(n, 0, s_vals, a0)
+    density = quantum.hydrogen_radial_density(n, 0, s_vals, a0)
     with np.errstate(all="ignore"):  # the table refuses what is not finite
-        # s^2 R^2 is 0 where R underflows to 0, also where s^2 overflows
-        density = np.where(radial == 0.0, 0.0, s_vals * s_vals * radial * radial)
         columns = [s_vals, psi, psi * psi, density]
     _write(
         args.output,

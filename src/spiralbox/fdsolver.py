@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+_TINY = 2.2250738585072014e-308  # the smallest normal float
 # a Laguerre correction this small, relative to the shift, ends the iteration
 _STEP_RTOL = 1e-10
 # a Laguerre correction below this, relative to the shift, lands within
@@ -56,13 +57,15 @@ class TridiagonalOperator:
             raise ValueError("off-diagonal must be one entry shorter than the diagonal")
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
             raise ValueError("operator entries must be finite")
-        # every sweep works with the squared off-diagonal, -1/h^2 from discretize
-        e_max = float(np.max(np.abs(e), initial=0.0))
-        if not math.isfinite(e_max * e_max):
-            raise ValueError(
-                f"the grid step {self.grid_step!r} gives an off-diagonal entry {e_max!r}"
-                " whose square leaves the floating-point range"
-            )
+        # every sweep works with the squared off-diagonal, -1/h^2 from discretize: a
+        # square that overflows, or underflows below the normal floats, counts another matrix
+        coupled = np.abs(e[e != 0.0])
+        for entry in (float(coupled.max()), float(coupled.min())) if coupled.size else ():
+            if not _TINY <= entry * entry < math.inf:
+                raise ValueError(
+                    f"the grid step {self.grid_step!r} gives an off-diagonal entry {entry!r}"
+                    " whose square leaves the floating-point range"
+                )
         d.flags.writeable = e.flags.writeable = False
         object.__setattr__(self, "diagonal", d)
         object.__setattr__(self, "off_diagonal", e)
@@ -297,14 +300,14 @@ def eigenvalues_lowest(
             # it is trusted only while the corrections halve
             turned = move * last < 0.0 and abs(move) > 0.5 * abs(last)
             if turned or math.isnan(step):
-                x = 0.5 * (lo[k] + hi[k])
+                x = 0.5 * lo[k] + 0.5 * hi[k]
                 last = 0.0
             elif abs(move) <= t:
                 # converged: x bounds lam_k on one side, and a count just
                 # beyond the step on the other closes the bracket
                 if count_at(step + t) >= k if below < k else count_at(step - t) < k:
                     break
-                x = 0.5 * (lo[k] + hi[k])
+                x = 0.5 * lo[k] + 0.5 * hi[k]
                 last = 0.0
             elif abs(move) <= _CERT_RTOL * abs(x) and (
                 count_at(step - tol(step)) < k <= count_at(step + tol(step))
@@ -323,12 +326,12 @@ def eigenvalues_lowest(
                     # bracket if that lies outside it (counts catch an overshoot)
                     step = x + move / (1.0 - ratio)
                     if not lo[k] < step < hi[k]:
-                        step = 0.5 * (lo[k] + hi[k])
+                        step = 0.5 * lo[k] + 0.5 * hi[k]
                 last = step - x
                 x = step
             below, g, h = sweep(x)
         # the last step, closed by counts but not swept, is the best point in the bracket
-        found.append(step if lo[k] <= step <= hi[k] else 0.5 * (lo[k] + hi[k]))
+        found.append(step if lo[k] <= step <= hi[k] else 0.5 * lo[k] + 0.5 * hi[k])
     return np.array(found)
 
 
@@ -342,7 +345,8 @@ def richardson_refine(
     A pilot grid of n_coarse // 16 nodes gives the coarse solve its `start`,
     and the coarse eigenvalues give the fine solve its own; the pilot is
     skipped when it would have fewer than `count` nodes.  Each grid's levels
-    are certified by counts on that grid, whatever its start.
+    are certified by counts on that grid, whatever its start.  Extrapolated
+    levels that leave the floating-point range are refused with ValueError.
     """
     n_pilot = n_coarse // _PILOT_RATIO
     pilot = eigenvalues_lowest(discretize(W, L, n_pilot), count) if n_pilot >= count else None
@@ -350,5 +354,11 @@ def richardson_refine(
     fine = eigenvalues_lowest(discretize(W, L, 2 * n_coarse), count, start=coarse)
     h_c = L / (n_coarse + 1)
     h_f = L / (2 * n_coarse + 1)
-    c2, f2 = h_c * h_c, h_f * h_f
-    return (c2 * fine - f2 * coarse) / (c2 - f2)
+    # both steps scaled by one power of two, exactly, so that c2 * fine stays a float
+    scale = -math.frexp(h_c)[1]
+    c2, f2 = math.ldexp(h_c, scale) ** 2, math.ldexp(h_f, scale) ** 2
+    with np.errstate(over="ignore"):  # refused below
+        refined = (c2 * fine - f2 * coarse) / (c2 - f2)
+    if not np.all(np.isfinite(refined)):
+        raise ValueError("the extrapolated levels leave the floating-point range")
+    return refined

@@ -29,7 +29,6 @@ __all__ = [
     "polyene_curve",
     "frenet_integrate",
     "curvature_of_samples",
-    "log_spaced",
     "sample_hydrogen_curve",
     "sample_polyene_curve",
 ]
@@ -120,12 +119,6 @@ class PlaneCurveSamples:
             raise ValueError("arc lengths must be strictly increasing")
         object.__setattr__(self, "s_values", s)
         object.__setattr__(self, "points", pts)
-
-    def chord_lengths(self) -> np.ndarray:
-        return np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-
-    def polyline_length(self) -> float:
-        return float(self.chord_lengths().sum())
 
 
 def hydrogen_curve(sigma: float, s: float | np.ndarray) -> np.ndarray:
@@ -267,13 +260,6 @@ def curvature_of_samples(samples: PlaneCurveSamples) -> np.ndarray:
     cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     speed = np.linalg.norm(d1, axis=1)
     return np.abs(cross) / speed**3
-
-
-def log_spaced(s_min: float, s_max: float, n: int) -> np.ndarray:
-    """Logarithmically spaced arc lengths; resolves the spiral near its center."""
-    if not (0.0 < s_min < s_max):
-        raise ValueError("need 0 < s_min < s_max")
-    return np.geomspace(s_min, s_max, n)
 
 
 def sample_hydrogen_curve(sigma: float, s_values: np.ndarray) -> PlaneCurveSamples:

@@ -133,7 +133,7 @@ def lambda_model(sigma: float, mol: Molecule, mass: float = 1.0) -> float:
     n = homo_index(mol)
     length = quantum.nm_to_bohr(mol.box_length)
     spectrum = quantum.spiral_box_spectrum(sigma, length, mass, n + 1)
-    return quantum.transition_wavelength(spectrum, n)
+    return quantum.transition_wavelength(spectrum.energy(n), spectrum.energy(n + 1))
 
 
 def _percent_error(calc: float, exp: float) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -28,9 +27,7 @@ __all__ = [
     "nm_to_bohr",
     "hartree_to_ev",
     "MAX_LEVELS",
-    "EnergyLevels",
     "SpiralBoxSpectrum",
-    "ParticleInBox",
     "geometry_induced_potential",
     "omega_from_sigma",
     "spiral_box_spectrum",
@@ -41,6 +38,7 @@ __all__ = [
     "transition_wavelength",
     "hydrogen_wavefunction_1d",
     "hydrogen_radial_3d",
+    "hydrogen_radial_density",
 ]
 
 
@@ -58,12 +56,6 @@ def nm_to_bohr(length_nm: float) -> float:
 def hartree_to_ev(energy: float) -> float:
     """Energy in eV of `energy` Hartree (a float or an array)."""
     return energy * HARTREE_EV
-
-
-class EnergyLevels(Protocol):
-    """Anything exposing an indexed spectrum E_1 <= E_2 <= ... in Hartree."""
-
-    def energy(self, n: int) -> float: ...
 
 
 def geometry_induced_potential(k_value: float, mass: float) -> float:
@@ -200,31 +192,21 @@ def pib_closed_energy(n: int, box_length: float, mass: float) -> float:
     return pib_open_energy(2 * n, box_length, mass)
 
 
-@dataclass(frozen=True)
-class ParticleInBox:
-    """Energy-level provider for the straight box with hard walls."""
-
-    box_length: float
-    mass: float
-
-    def energy(self, n: int) -> float:
-        return pib_open_energy(n, self.box_length, self.mass)
-
-
-def transition_wavelength(levels: EnergyLevels, n_homo: int) -> float:
-    """Photon wavelength hc / (E_{n+1} - E_n) in nanometers.
+def transition_wavelength(lower: float, upper: float) -> float:
+    """Photon wavelength hc / (upper - lower) in nanometers, energies in Hartree.
 
     A gap too large to express in eV (the wavelength would be below about
-    7e-306 nm) is refused with ValueError.
+    7e-306 nm), or too small for its wavelength to be a float (below about
+    2.5e-307 Hartree), is refused with ValueError.
     """
-    if n_homo < 1:
-        raise ValueError("n_homo must be >= 1")
-    delta = levels.energy(n_homo + 1) - levels.energy(n_homo)
-    if delta <= 0.0:
-        raise ValueError("levels must be strictly increasing across the transition")
+    delta = upper - lower
+    if not delta > 0.0:
+        raise ValueError(f"need lower < upper, got {lower!r} and {upper!r} Hartree")
     delta_ev = hartree_to_ev(delta)
     if not math.isfinite(delta_ev):
         raise ValueError(f"the transition energy {delta!r} Hartree overflows in eV")
+    if not math.isfinite(HC_EV_NM / delta_ev):
+        raise ValueError(f"the wavelength of a {delta!r} Hartree gap overflows in nm")
     return HC_EV_NM / delta_ev
 
 
@@ -288,28 +270,50 @@ def _joined(n: int, r: float | np.ndarray, mantissa: np.ndarray, exponent: np.nd
     return value
 
 
+def _quarters(x: float) -> tuple[float, int]:
+    """(a, k) with x = a 4^k and a in [0.5, 2), so that sqrt(x) = sqrt(a) 2^k."""
+    k = math.frexp(x)[1] // 2
+    return math.ldexp(x, -2 * k), k
+
+
 def hydrogen_wavefunction_1d(n: int, s: float | np.ndarray, a0: float = 1.0):
     """Normalized 1D bound state psi_N = B exp(-z/2) z L_{N-1}^(1)(z), z = 2s/(N a0),
-    at arc length s > 0; int psi^2 ds = 1 gives B = 1/sqrt(N^3 a0).
+    at arc length s > 0; int psi^2 ds = 1 gives B = 1/sqrt(N^3 a0) = 2^-k / sqrt(N^3 a)
+    with a0 = a 4^k, whose power of two joins the value's own.
     """
     z, mantissa, exponent = _hydrogen_raw(n, 0, a0, s)
-    values = 1.0 / math.sqrt(n**3 * a0) * z * _joined(n, s, mantissa, exponent)
+    a, k = _quarters(a0)
+    values = _joined(n, s, 1.0 / math.sqrt(n**3 * a) * z * mantissa, exponent - k)
     return specfun.shaped_like(values, s)
 
 
-def hydrogen_radial_3d(n: int, ell: int, r: float | np.ndarray, a0: float = 1.0):
-    """Radial function R_{n,ell}(r), normalized so that int r^2 R^2 dr = 1.
+def _radial_parts(n: int, ell: int, r: float | np.ndarray, a0: float) -> tuple:
+    """R_{n,ell} at every point of r as a mantissa and a power of two.
 
     N^2 = (2/(n a0))^3 / (2n (n+ell)!/(n-ell-1)!); the factorial ratio is a
     product of 2 ell + 1 integers, exact in floating point.  With a0 = a 4^k
-    and 2n (n+ell)!/(n-ell-1)! = b 4^j, a and b in [0.5, 2), N is that of a
-    and b times 2^-(3k+j), and that power of two joins the value's own.
+    and 2n (n+ell)!/(n-ell-1)! = b 4^j, N is that of a and b times
+    2^-(3k+j), and that power of two joins the value's own.
     """
     _, mantissa, exponent = _hydrogen_raw(n, ell, a0, r)
     ratio = math.prod(range(n - ell, n + ell + 1))
     if 2 * n * ratio > sys.float_info.max:
         raise ValueError(f"(n+ell)!/(n-ell-1)! overflows the normalization at n = {n}, ell = {ell}")
-    k, j = math.frexp(a0)[1] // 2, math.frexp(2.0 * n * ratio)[1] // 2
-    a, b = math.ldexp(a0, -2 * k), math.ldexp(2.0 * n * ratio, -2 * j)
+    (a, k), (b, j) = _quarters(a0), _quarters(2.0 * n * ratio)
     norm = math.sqrt((2.0 / (n * a)) ** 3 / b)
-    return specfun.shaped_like(_joined(n, r, norm * mantissa, exponent - 3 * k - j), r)
+    return norm * mantissa, exponent - 3 * k - j
+
+
+def hydrogen_radial_3d(n: int, ell: int, r: float | np.ndarray, a0: float = 1.0):
+    """Radial function R_{n,ell}(r), normalized so that int r^2 R^2 dr = 1."""
+    return specfun.shaped_like(_joined(n, r, *_radial_parts(n, ell, r, a0)), r)
+
+
+def hydrogen_radial_density(n: int, ell: int, r: float | np.ndarray, a0: float = 1.0):
+    """Radial probability density r^2 R_{n,ell}(r)^2, formed from the mantissas
+    and powers of two of r and R, so that it leaves the float range only where
+    the true density does, also where r^2 or R alone would."""
+    mantissa, exponent = _radial_parts(n, ell, r, a0)
+    base, base_exp = np.frexp(np.asarray(r, dtype=float).reshape(-1))
+    density = _joined(n, r, base * base * mantissa * mantissa, 2 * (base_exp + exponent))
+    return specfun.shaped_like(density, r)

@@ -2,7 +2,9 @@
 
 The Bessel oracle is a direct power-series summation in mpmath arbitrary
 precision (never mpmath's own besselj), so it shares no code path with the
-double-precision implementation under test.
+double-precision implementation under test.  The Bessel zero counter takes
+the eigenvalues of a tridiagonal matrix by Sturm counts, which share no code
+with the zero scan either.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 
 import mpmath as mp
 import numpy as np
+
+from spiralbox import fdsolver
 
 
 def mp_bessel_j(nu, x, extra_dps: int = 30):
@@ -63,6 +67,23 @@ def mp_bessel_zero(nu, n, digits: int = 30):
                         hi = mid
                 return (lo + hi) / 2
         x, f_prev = x_next, f_next
+
+
+def bessel_zero_count(nu: float, x: float) -> int:
+    """Number of zeros of J_nu in (0, x), from the Bessel matrix.
+
+    The symmetric tridiagonal matrix with zero diagonal and off-diagonal
+    beta_m = 1 / (2 sqrt((nu+m)(nu+m+1))), m = 1, 2, ..., has the eigenvalues
+    +-1/j_{nu,k} (Ikebe, Math. Comp. 29, 1975), and its spectrum is symmetric
+    about 0: the zeros below x are its eigenvalues below -1/x, counted by
+    LDL^T pivots on the leading N = ceil(max(x - nu, 0) + 9 max(x, 1)^(1/3) + 30)
+    rows.
+    """
+    rows = math.ceil(max(x - nu, 0.0) + 9.0 * max(x, 1.0) ** (1.0 / 3.0) + 30.0)
+    m = np.arange(1, rows)
+    beta = 0.5 / np.sqrt((nu + m) * (nu + m + 1.0))
+    op = fdsolver.TridiagonalOperator(np.zeros(rows), beta, grid_step=1.0)
+    return fdsolver.sturm_count(op, -1.0 / x)
 
 
 def frenet_loop(k, s0: float, s1: float, steps: int) -> np.ndarray:

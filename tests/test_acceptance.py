@@ -17,14 +17,12 @@ from spiralbox.geometry import (
     curvature_of_samples,
     frenet_integrate,
     hydrogen_curve,
-    log_spaced,
     polyene_curve,
     sample_hydrogen_curve,
     sample_polyene_curve,
 )
 from spiralbox.polyene import Molecule, fit_effective_mass, fit_sigma, lambda_model
 from spiralbox.quantum import (
-    ParticleInBox,
     hydrogen_radial_3d,
     hydrogen_wavefunction_1d,
     nm_to_bohr,
@@ -133,16 +131,17 @@ def test_criterion_5_fit_round_trips():
 
             synthetic = Molecule(mol.name, mol.n_pi, mol.box_length, 350.0, mol.source)
             mass = fit_effective_mass(synthetic)
-            box = ParticleInBox(nm_to_bohr(mol.box_length), mass)
-            assert transition_wavelength(box, mol.n_pi // 2) == pytest.approx(
-                350.0, rel=1e-10
+            n, length = mol.n_pi // 2, nm_to_bohr(mol.box_length)
+            lam = transition_wavelength(
+                pib_open_energy(n, length, mass), pib_open_energy(n + 1, length, mass)
             )
+            assert lam == pytest.approx(350.0, rel=1e-10)
 
 
 def test_criterion_6_geometry_suite():
     with criterion("6 radius identities, Frenet agreement, curvature recovery"):
         sigma = math.sqrt(0.004)
-        for s in log_spaced(1e-4, 1e3, 100):
+        for s in np.geomspace(1e-4, 1e3, 100):
             s = float(s)
             assert np.linalg.norm(polyene_curve(sigma, s)) == pytest.approx(
                 sigma * s / math.sqrt(1.0 + sigma * sigma), rel=1e-12

@@ -130,7 +130,7 @@ def test_curve_text_matches_pointwise_formatting(tmp_path, p):
     argv = ["curve", "--sigma", repr(sigma), "--p", p, "--samples", str(samples)]
     assert main(argv + ["--output", str(csv_out)]) == 0
     assert main(argv + ["--format", "svg", "--output", str(svg_out)]) == 0
-    s = geometry.log_spaced(0.05, 4.0, samples)
+    s = np.geomspace(0.05, 4.0, samples)
     closed_form = geometry.polyene_curve if p == "1" else geometry.hydrogen_curve
     pts = [closed_form(sigma, float(v)) for v in s]
     rows = [f"{v:.10g},{x:.10g},{y:.10g}" for v, (x, y) in zip(s, pts)]
@@ -833,6 +833,25 @@ def test_hydrogen_huge_a0_writes_the_3d_density_equal_to_the_1d_one(tmp_path):
     assert float(rows[0][2]) == pytest.approx(4.94104542e-111, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("a0", ["1e-300", "1e200", "1e300"])
+def test_hydrogen_at_extreme_a0_writes_the_densities_of_mpmath(tmp_path, n, a0):
+    # s^2 R^2 took s^2, which overflows from a0 ~ 4e153 (exit 2); past a0 ~ 1e206
+    # R underflowed first, and prob_3d_radial read 0; at a0 = 1e-300 R ~ 2e450
+    # overflowed (exit 2), though psi^2 ~ 0.5 / a0 is a float
+    out = tmp_path / "hyd.csv"
+    argv = ["hydrogen", "--n-level", str(n), "--a0", a0, "--samples", "3"]
+    assert main([*argv, "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    with mp.workdps(30):
+        for s, _, prob_1d, prob_3d in rows:
+            z = 2 * mp.mpf(s) / (n * mp.mpf(a0))
+            want = (mp.exp(-z / 2) * z * mp.laguerre(n - 1, 1, z)) ** 2 / (n**3 * mp.mpf(a0))
+            # s is read back at 10 digits, which moves the density by about 1e-9
+            assert float(prob_3d) == pytest.approx(float(want), rel=1e-8, abs=0.0)
+            assert float(prob_1d) == pytest.approx(float(prob_3d), rel=1e-8, abs=0.0)
+
+
 def test_hydrogen_far_out_writes_zeros(tmp_path):
     # every true value underflows; L_2(z) overflowed there, s^2 too, and the
     # command exited 2
@@ -866,7 +885,7 @@ def test_identical_invocations_are_byte_identical(tmp_path):
         ["curve", "--sigma", "5e-324", "--p", "0.5"],  # sigma (1 - p) underflows
         ["curve", "--sigma", "1", "--p", "3", "--s-min", "1e-300", "--s-max", "1"],
         ["curve", "--sigma", "1", "--p", "0", "--s-min", "1", "--s-max", "1e308", "--samples", "2"],
-        ["hydrogen", "--n-level", "1", "--a0", "1e-300"],  # (2 / a0)^3 overflows
+        ["hydrogen", "--n-level", "1", "--a0", "1e-310"],  # prob_1d ~ 0.5 / a0 overflows
         ["report", "--molecules", str(DATA_DIR / "polyenes_roundtrip.json"),
          "--sigmas", "0.05,0.05,inf,0.05"],
         ["spectrum", "--sigma", "1e-300"],  # sigma^2 underflows

@@ -105,6 +105,46 @@ def test_grid_step_whose_inverse_fourth_power_overflows_is_refused():
         TridiagonalOperator(np.zeros(3), np.array([1.0, -2e154]), 0.5)
 
 
+def test_grid_step_whose_inverse_fourth_power_underflows_is_refused():
+    # 1/h^4 below the normal floats lost its digits, or read 0, in every sweep: the
+    # counts were those of the diagonal alone, and `oracle --length 1e100` exited 0
+    # with levels 3836 times too large
+    h = 8.3e76
+    with pytest.raises(ValueError, match=re.escape(f"grid step {h!r}")):
+        discretize(zero_potential, h * 11, 10)
+    with pytest.raises(ValueError, match="grid step 0.5"):
+        TridiagonalOperator(np.zeros(3), np.array([1.0, 1e-160]), 0.5)
+    h = 8.1e76  # just below the limit
+    level = eigenvalues_lowest(discretize(zero_potential, h * 11, 10), 1)[0]
+    assert level == pytest.approx(4.0 / h**2 * math.sin(math.pi / 22) ** 2, rel=1e-12)
+    # an uncoupled row (a zero off-diagonal entry) has no square to lose
+    assert TridiagonalOperator(np.zeros(3), np.array([1.0, 0.0]), 0.5).size == 3
+
+
+def test_levels_near_the_top_of_the_float_range_stay_finite():
+    # the middle of a bracket near 1.7e308 was 0.5 (lo + hi), and lo + hi overflowed:
+    # a start there, or the coarse levels of a Richardson solve, gave inf
+    well = lambda s: 1.7e308 + 0.0 * s  # noqa: E731
+    op = discretize(well, 1.0, 20)
+    # every level is 1.7e308 + 4/h^2 sin^2(...), to within the floor 2 eps ||T||
+    for levels in (eigenvalues_lowest(op, 2, start=[1.7e308, 1.7e308]),
+                   richardson_refine(well, 1.0, 2, 10)):
+        assert levels.tolist() == pytest.approx([1.7e308, 1.7e308], rel=1e-15)
+
+
+def test_richardson_weights_are_scaled_into_the_float_range():
+    # c2 * fine, with c2 = h^2 ~ 2e117 and fine ~ 1e200, overflowed to inf
+    refined = richardson_refine(lambda s: 1e200 + 0.0 * s, 1e60, 2, 20)
+    assert refined.tolist() == pytest.approx([1e200, 1e200], rel=1e-15)
+    # where the products are floats, the scaled weights give the same bits
+    length, n = 3.7, 40
+    coarse = eigenvalues_lowest(discretize(inverse_square(2.5), length, n), 3)
+    fine = eigenvalues_lowest(discretize(inverse_square(2.5), length, 2 * n), 3, start=coarse)
+    c2, f2 = (length / (n + 1)) ** 2, (length / (2 * n + 1)) ** 2
+    want = (c2 * fine - f2 * coarse) / (c2 - f2)
+    assert richardson_refine(inverse_square(2.5), length, 3, n).tolist() == want.tolist()
+
+
 # --- Sturm counts ----------------------------------------------------------------
 
 

@@ -21,7 +21,6 @@ from spiralbox.polyene import (
     report,
 )
 from spiralbox.quantum import (
-    ParticleInBox,
     geometry_induced_potential,
     nm_to_bohr,
     omega_from_sigma,
@@ -156,8 +155,10 @@ def test_lambda_model_at_table_sigma():
 
 def test_lambda_model_reduces_to_box_at_large_sigma():
     for mol in ALL_MOLECULES[:2]:
-        box = ParticleInBox(nm_to_bohr(mol.box_length), 1.0)
-        expected = transition_wavelength(box, homo_index(mol))
+        n, length = homo_index(mol), nm_to_bohr(mol.box_length)
+        expected = transition_wavelength(
+            pib_open_energy(n, length, 1.0), pib_open_energy(n + 1, length, 1.0)
+        )
         assert lambda_model(1e6, mol) == pytest.approx(expected, rel=1e-6)
 
 
@@ -320,10 +321,11 @@ def test_effective_mass_round_trip():
     for lam_exp in (330.0, 416.0):
         mol = make_molecule("deca-2,4,6,8-tetraene", 8, 9, lambda_exp=lam_exp)
         mass = fit_effective_mass(mol)
-        box = ParticleInBox(nm_to_bohr(mol.box_length), mass)
-        assert transition_wavelength(box, homo_index(mol)) == pytest.approx(
-            lam_exp, rel=1e-10
+        n, length = homo_index(mol), nm_to_bohr(mol.box_length)
+        lam = transition_wavelength(
+            pib_open_energy(n, length, mass), pib_open_energy(n + 1, length, mass)
         )
+        assert lam == pytest.approx(lam_exp, rel=1e-10)
 
 
 def test_effective_mass_is_linear_in_wavelength():

@@ -1,4 +1,4 @@
-"""Property test over the library API, across the whole float range.
+"""Property test over the library API, and the `hydrogen` table, across the whole float range.
 
 Arguments are drawn as log-uniform magnitudes, subnormals and the edges of
 each documented cap.  Every call either raises ValueError or returns finite
@@ -7,6 +7,8 @@ value is beyond the float range, and below the normal floats where the true
 value is.  Exact values come from mpmath.
 """
 
+import contextlib
+import io
 import math
 import sys
 import xml.etree.ElementTree as ET
@@ -16,7 +18,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spiralbox import geometry, polyene, quantum, specfun, svgplot
+from spiralbox import cli, fdsolver, geometry, polyene, quantum, specfun, svgplot
 
 TINY = sys.float_info.min
 HUGE = sys.float_info.max
@@ -108,6 +110,22 @@ def test_unit_conversions_are_one_product(x):
 
 
 @PROPERTY
+@given(lower=SIGNED, upper=SIGNED)
+def test_transition_wavelength(lower, upper):
+    lam = _refused_or(quantum.transition_wavelength, lower, upper)
+    if upper <= lower:
+        assert lam is None, (lower, upper)
+        return
+    want = _exact(lambda a, b: quantum.HC_EV_NM / ((b - a) * quantum.HARTREE_EV), lower, upper)
+    if lam is None:
+        # refused only where the wavelength is not a float, or its gap in eV is not
+        assert not quantum.HC_EV_NM / HUGE * 1.01 < want < HUGE / 1.01, (lower, upper)
+    else:
+        # upper - lower is rounded once before the formula
+        assert math.isfinite(lam) and _rounds(lam, want, rel=1e-15), (lower, upper)
+
+
+@PROPERTY
 @given(n=st.integers(1, 200), ell=st.integers(0, 90), s=MAGNITUDES, a0=MAGNITUDES)
 @example(n=10**4, ell=90, s=2e4, a0=1.0)  # the CLI's level cap
 def test_hydrogen_states_share_their_normalization(n, ell, s, a0):
@@ -119,6 +137,39 @@ def test_hydrogen_states_share_their_normalization(n, ell, s, a0):
     zero = _refused_or(quantum.hydrogen_radial_3d, n, 0, s, a0)
     if psi is not None and zero is not None and abs(zero) >= TINY:
         assert _rounds(psi, _exact(lambda r, v: r * v, s, zero), rel=1e-12), (n, s, a0)
+    # s^2 R^2 = psi^2, also where s^2, R or psi alone leaves the float range
+    density = _refused_or(quantum.hydrogen_radial_density, n, 0, s, a0)
+    if density is None:
+        assert psi is None or _exact(lambda v: v * v, psi) > HUGE * (1 - 1e-12), (n, s, a0)
+    else:
+        assert math.isfinite(density) and density >= 0.0, (n, s, a0)
+        if psi is not None:
+            assert _rounds(density, _exact(lambda v: v * v, psi), rel=1e-12), (n, s, a0)
+
+
+# a0 log-uniform up to 1e300
+A0 = st.floats(-1074.0, math.log2(1e300)).map(lambda e: 2.0**e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(n=st.integers(1, 300), a0=A0)
+@example(n=10**4, a0=1e297)  # 1/sqrt(n^3 a0) was 0: psi read 0
+@example(n=1, a0=1e200)  # s^2 overflowed: exit 2
+@example(n=3, a0=1e300)  # R underflowed: prob_3d_radial read 0
+def test_hydrogen_table_gives_equal_densities(tmp_path_factory, n, a0):
+    out = tmp_path_factory.mktemp("hydrogen") / "h.csv"
+    argv = ["hydrogen", "--n-level", str(n), "--a0", repr(a0), "--samples", "3",
+            "--output", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    # exit 2 only where a true cell leaves the float range (prob_1d peaks near
+    # 0.5/(n^2 a0)), or the default --s-max does
+    assert code == 0 or (code == 2 and (a0 < 1.0 / HUGE or 4.0 * n * n * a0 > HUGE)), (n, a0)
+    if code == 0:
+        for row in out.read_text().splitlines()[3:]:
+            _, _, prob_1d, prob_3d = map(float, row.split(","))
+            # both are one rounding from psi^2 below the normal floats
+            assert abs(prob_1d - prob_3d) <= 1e-8 * prob_3d + 2.0**-1072, (n, a0, row)
 
 
 SPECTRUM_ARGS = st.one_of(
@@ -216,6 +267,71 @@ def test_fit_effective_mass(n_pi, length, lam):
             n_pi // 2, length, lam,
         )
         assert math.isfinite(mass) and _rounds(mass, want, rel=1e-12), (n_pi, length, lam)
+
+
+# --- fdsolver ---------------------------------------------------------------------
+
+# W(s) = c + a / s^2: a constant well, the inverse-square family of the spiral box, or
+# both; moderate values most of the time, so that most operators get solved
+MODERATE = st.floats(-100.0, 100.0)
+POTENTIALS = st.tuples(st.one_of(MODERATE, SIGNED), st.one_of(st.just(0.0), MODERATE, SIGNED))
+LENGTHS = st.one_of(st.floats(0.01, 100.0), MAGNITUDES)
+NODES = st.one_of(st.integers(1, 40), st.integers(41, 200), st.sampled_from([0, -1]))
+
+
+def _potential(c: float, a: float):
+    return lambda s: c + a / (s * s)
+
+
+def _certified(op, values, count):
+    """`values` are the `count` lowest eigenvalues of `op`: ascending, finite, inside
+    the padded Gershgorin bounds, each bracketed by counts at -+ twice its tolerance."""
+    bottom, top = op.gershgorin_bounds()
+    floor = max(2.220446049250313e-16 * max(abs(bottom), abs(top)), op._rows[2])
+    pad = 4.0 * floor + op._rows[2]
+    assert values.shape == (count,) and np.all(np.isfinite(values))
+    assert np.all(np.diff(values) >= 0.0)
+    assert bottom - pad <= values[0] and values[-1] <= top + pad
+    for k, x in enumerate(values.tolist(), start=1):
+        w = 2.1 * max(1e-10 * abs(x), floor)
+        assert fdsolver.sturm_count(op, x - w) < k <= fdsolver.sturm_count(op, x + w), (k, x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(potential=POTENTIALS, length=LENGTHS, nodes=NODES,
+       shifts=st.lists(st.one_of(MODERATE, SIGNED), min_size=1, max_size=4),
+       count=st.one_of(st.integers(1, 6), st.sampled_from([-1, 0])),
+       start=st.lists(st.one_of(MODERATE, SIGNED), min_size=6, max_size=6))
+@example(potential=(1.7e308, 0.0), length=1.0, nodes=20, shifts=[1.7e308], count=2,
+         start=[1.7e308] * 6)  # the middle of a bracket overflowed
+def test_fd_levels_are_certified_by_their_counts(potential, length, nodes, shifts, count, start):
+    op = _refused_or(fdsolver.discretize, _potential(*potential), length, nodes)
+    if op is None:
+        return
+    assert op.size == nodes
+    assert np.all(np.isfinite(op.diagonal)) and np.all(np.isfinite(op.off_diagonal))
+    counts = [fdsolver.sturm_count(op, x) for x in sorted(shifts)]
+    assert all(0 <= a <= b <= nodes for a, b in zip(counts, counts[1:] + [nodes]))
+    for hint in (None, start[:count]):
+        values = _refused_or(lambda: fdsolver.eigenvalues_lowest(op, count, start=hint))
+        if values is None:
+            assert not 1 <= count <= nodes
+        else:
+            _certified(op, values, count)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(potential=POTENTIALS, length=LENGTHS, nodes=st.integers(1, 100), count=st.integers(1, 4))
+@example(potential=(1e200, 0.0), length=1e60, nodes=20, count=2)  # c2 * fine overflowed
+@example(potential=(HUGE, 0.0), length=1.0, nodes=1, count=1)  # the result rounded to inf
+def test_richardson_levels_are_finite_and_ascending(potential, length, nodes, count):
+    values = _refused_or(fdsolver.richardson_refine, _potential(*potential), length, count, nodes)
+    if values is not None:
+        assert values.shape == (count,) and np.all(np.isfinite(values)), (potential, length, nodes)
+        # extrapolation assumes each level resolved: with a few nodes a level, level
+        # k + 1 can land below level k (`oracle --omega 3.9 --levels 10 --grid 10`)
+        if nodes >= 8 * count:
+            assert np.all(np.diff(values) >= 0.0), (potential, length, nodes, values)
 
 
 # --- specfun ----------------------------------------------------------------------

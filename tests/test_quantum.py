@@ -1,6 +1,7 @@
 """Tests for the closed-form quantum layer."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -10,10 +11,10 @@ from spiralbox import specfun
 from spiralbox.quantum import (
     HARTREE_EV,
     HC_EV_NM,
-    ParticleInBox,
     geometry_induced_potential,
     hartree_to_ev,
     hydrogen_radial_3d,
+    hydrogen_radial_density,
     hydrogen_wavefunction_1d,
     nm_to_bohr,
     omega_from_sigma,
@@ -273,69 +274,61 @@ def test_pib_validation():
 # --- transition wavelengths ----------------------------------------------------------
 
 
+def box_wavelength(n: int, length: float, mass: float) -> float:
+    lower, upper = pib_open_energy(n, length, mass), pib_open_energy(n + 1, length, mass)
+    return transition_wavelength(lower, upper)
+
+
 def test_transition_wavelength_times_energy_is_hc():
-    box = ParticleInBox(nm_to_bohr(1.39), 1.0)
+    length = nm_to_bohr(1.39)
     for n in (1, 4):
-        lam = transition_wavelength(box, n)
-        delta_ev = hartree_to_ev(box.energy(n + 1) - box.energy(n))
+        lam = box_wavelength(n, length, 1.0)
+        delta = pib_open_energy(n + 1, length, 1.0) - pib_open_energy(n, length, 1.0)
+        delta_ev = hartree_to_ev(delta)
         assert lam * delta_ev == pytest.approx(HC_EV_NM, rel=1e-12)
 
 
 def test_transition_wavelength_scalings():
-    base = transition_wavelength(ParticleInBox(10.0, 1.0), 2)
-    assert transition_wavelength(ParticleInBox(10.0, 2.0), 2) == pytest.approx(
-        2.0 * base, rel=1e-12
-    )
-    assert transition_wavelength(ParticleInBox(20.0, 1.0), 2) == pytest.approx(
-        4.0 * base, rel=1e-12
-    )
+    base = box_wavelength(2, 10.0, 1.0)
+    assert box_wavelength(2, 10.0, 2.0) == pytest.approx(2.0 * base, rel=1e-12)
+    assert box_wavelength(2, 20.0, 1.0) == pytest.approx(4.0 * base, rel=1e-12)
     # lambda ~ 1/(2n+1) at fixed L, m
-    lam2 = transition_wavelength(ParticleInBox(10.0, 1.0), 3)
+    lam2 = box_wavelength(3, 10.0, 1.0)
     assert lam2 / base == pytest.approx(5.0 / 7.0, rel=1e-12)
 
 
 def test_spiral_transition_equals_box_at_half_order():
     length = 25.0
     spec = spiral_box_spectrum(math.inf, length, 1.0, 4)
-    box = ParticleInBox(length, 1.0)
     for n in (1, 3):
-        assert transition_wavelength(spec, n) == pytest.approx(
-            transition_wavelength(box, n), rel=1e-11
+        assert transition_wavelength(spec.energy(n), spec.energy(n + 1)) == pytest.approx(
+            box_wavelength(n, length, 1.0), rel=1e-11
         )
 
 
 def test_one_hartree_transition():
-    class Linear:
-        def energy(self, n: int) -> float:
-            return float(n)
-
-    lam = transition_wavelength(Linear(), 1)
+    lam = transition_wavelength(1.0, 2.0)
     assert lam == pytest.approx(45.563, abs=5e-4)
     assert lam == pytest.approx(HC_EV_NM / HARTREE_EV, rel=1e-14)
 
 
 def test_transition_rejects_degenerate_levels():
-    class Flat:
-        def energy(self, n: int) -> float:
-            return 1.0
-
-    with pytest.raises(ValueError):
-        transition_wavelength(Flat(), 1)
+    for lower, upper in ((1.0, 1.0), (2.0, 1.0), (1.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="need lower < upper"):
+            transition_wavelength(lower, upper)
 
 
 def test_transition_gap_beyond_the_ev_range_is_refused():
-    class Steep:
-        def __init__(self, step: float):
-            self.step = step
-
-        def energy(self, n: int) -> float:
-            return self.step * n
-
     # 1e307 Hartree is about 2.7e308 eV: hc / inf would read as a 0 nm wavelength
     with pytest.raises(ValueError, match="overflows in eV"):
-        transition_wavelength(Steep(1e307), 1)
+        transition_wavelength(1e307, 2e307)
+    with pytest.raises(ValueError, match="overflows in eV"):
+        transition_wavelength(0.0, math.inf)
+    # a gap below about 2.5e-307 Hartree gave an inf wavelength
+    with pytest.raises(ValueError, match="overflows in nm"):
+        transition_wavelength(5e-324, 2.2250738585072014e-308)
     # a gap that still fits keeps the plain formula
-    assert transition_wavelength(Steep(1e306), 1) == HC_EV_NM / (1e306 * HARTREE_EV)
+    assert transition_wavelength(1e306, 2e306) == HC_EV_NM / (1e306 * HARTREE_EV)
 
 
 # --- 1D hydrogen bound states -------------------------------------------------------
@@ -486,6 +479,54 @@ def test_radial_normalization_joins_the_powers_of_two(n, ell, r, a0):
         norm = mp.sqrt((2 / (n * mp.mpf(a0))) ** 3 / (2 * n * ratio))
         want = norm * mp.exp(-z / 2) * z**ell * mp.laguerre(n - ell - 1, 2 * ell + 1, z)
     assert hydrogen_radial_3d(n, ell, r, a0) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+def _mp_psi_1d(n, a0, s):
+    z = 2 * mp.mpf(s) / (n * mp.mpf(a0))
+    return mp.exp(-z / 2) * z * mp.laguerre(n - 1, 1, z) / mp.sqrt(n**3 * mp.mpf(a0))
+
+
+@pytest.mark.parametrize(
+    "n, s, a0",
+    [
+        (10_000, 1.3333333333333334e305, 1e297),  # psi ~ 3e-153
+        (1000, 4e302, 1e300),
+        (30, 3e306, 1e305),
+    ],
+)
+def test_hydrogen_1d_normalization_past_the_float_range(n, s, a0):
+    # 1/sqrt(n^3 a0) took n^3 a0 = inf, and every value read 0
+    with mp.workdps(30):
+        want = _mp_psi_1d(n, a0, s)
+    assert abs(want) > 1e-200
+    assert hydrogen_wavefunction_1d(n, s, a0) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "n, ell, r, a0",
+    [
+        (1, 0, 1.3e200, 1e200),  # r^2 overflows
+        (3, 1, 2.5e300, 1e300),  # R ~ a0^-1.5 underflows
+        (2, 0, 3e-200, 1e-200),  # r^2 underflows
+        (2, 1, 3e-210, 1e-210),  # R overflows
+    ],
+)
+def test_radial_density_leaves_the_float_range_only_with_the_true_one(n, ell, r, a0):
+    with mp.workdps(30):
+        want = (mp.mpf(r) * _mp_radial(n, ell, a0, r)) ** 2
+    assert sys.float_info.min < want < sys.float_info.max
+    assert hydrogen_radial_density(n, ell, r, a0) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+def test_radial_density_is_r_r_R_R_where_each_product_is_a_normal_float():
+    r = np.geomspace(1e-3, 40.0, 300)
+    for n, ell, a0 in ((1, 0, 1.0), (3, 1, 0.7), (12, 5, 1e6), (40, 0, 1e-9)):
+        radial = hydrogen_radial_3d(n, ell, r * a0, a0)
+        want = (r * a0) * (r * a0) * radial * radial
+        normal = (np.abs(radial) >= sys.float_info.min) & (np.abs(want) >= sys.float_info.min)
+        got = hydrogen_radial_density(n, ell, r * a0, a0)
+        assert np.array_equal(got[normal], want[normal]), (n, ell, a0)
+    assert hydrogen_radial_density(2, 1, 3.0) == 9.0 * hydrogen_radial_3d(2, 1, 3.0) ** 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

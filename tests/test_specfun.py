@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import mp_bessel_j
+from oracles import bessel_zero_count, mp_bessel_j
 from spiralbox import specfun
 from spiralbox.specfun import (
     MAX_ZEROS,
@@ -486,6 +486,23 @@ def test_zero_scan_sweep_count(monkeypatch):
     monkeypatch.setattr(specfun, "find_root", counted_find_root)
     bessel_j_zeros(7.89, 9)
     assert len(sweeps) - sum(refined) == 22
+
+
+def test_zeros_carry_their_index_by_the_bessel_matrix_count():
+    # the k-th zero from the scan has exactly k - 1 zeros below it and k up to it:
+    # count(z (1 - 1e-12)) < k <= count(z (1 + 1e-12)), the counts taken from the
+    # eigenvalues +-1/j of the Bessel matrix, which share no code with the scan.
+    # Seeded orders log-uniform over [1e-3, 300] with up to 20 zeros, nu = 0, and
+    # a few orders up to 1e4 with up to 3
+    rng = np.random.default_rng(20261019)
+    orders = [(0.0, 20), (1e4, 3)]
+    orders += [(float(10.0 ** rng.uniform(-3.0, math.log10(300.0))), 20) for _ in range(40)]
+    orders += [(float(10.0 ** rng.uniform(math.log10(300.0), 4.0)), 3) for _ in range(4)]
+    for nu, count in orders:
+        for k, z in enumerate(bessel_j_zeros(nu, count), start=1):
+            below = bessel_zero_count(nu, z * (1 - 1e-12))
+            upto = bessel_zero_count(nu, z * (1 + 1e-12))
+            assert below < k <= upto, (nu, k, z, below, upto)
 
 
 # --- find_root ----------------------------------------------------------------
