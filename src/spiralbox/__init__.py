@@ -11,7 +11,6 @@ from .geometry import (
     CurvatureLaw,
     PlaneCurveSamples,
     curvature_of_samples,
-    cs_functions,
     frenet_integrate,
     hydrogen_curve,
     polyene_curve,

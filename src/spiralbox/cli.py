@@ -96,17 +96,12 @@ def cmd_curve(args: argparse.Namespace) -> int:
             s_vals = np.geomspace(args.s_min, args.s_max, args.samples)
         else:
             s_vals = np.linspace(args.s_min, args.s_max, args.samples)
+        closed_form = geometry.polyene_curve if p == 1.0 else geometry.hydrogen_curve
         try:
-            # the turning angle is largest at an end of the range or at the
-            # reference point s = 1
-            for s in (args.s_min, args.s_max, 1.0):
-                law.turning_angle(s)
+            points = closed_form(sigma, s_vals)
         except ValueError as exc:
-            return _fail(f"--sigma {sigma!r} is too small: {exc}", 2)
-        if p == 1.0:
-            samples = geometry.sample_polyene_curve(sigma, s_vals)
-        else:
-            samples = geometry.sample_hydrogen_curve(sigma, s_vals)
+            return _fail(f"--sigma {sigma!r}: {exc}", 2)
+        samples = geometry.PlaneCurveSamples(s_vals, points)
     else:
         samples = geometry.frenet_integrate(law.k, args.s_min, args.s_max, args.samples - 1)
     if not np.all(np.isfinite(samples.points)):
@@ -202,10 +197,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         )
     omega, length = args.omega, args.length
     if args.mode == "effective":
-        if args.levels > args.grid:
+        needed = fdsolver.PILOT_RATIO * args.levels
+        if args.grid < needed:
             return _fail(
-                f"--levels {args.levels} is more than --grid {args.grid}: "
-                "a grid of N points has only N levels",
+                f"--levels {args.levels} needs --grid {needed} or more "
+                f"({fdsolver.PILOT_RATIO} points a level), got --grid {args.grid}",
                 2,
             )
         coeff = omega * omega - 0.25
@@ -360,6 +356,8 @@ def cmd_hydrogen(args: argparse.Namespace) -> int:
     if a0 <= 0.0:
         return _fail(f"--a0 must be positive, got {a0!r}", 2)
     s_max = args.s_max if args.s_max is not None else 4.0 * n * n * a0
+    if args.s_max is None and math.isinf(s_max):
+        return _fail(f"--n-level {n} and --a0 {a0!r}: the default --s-max 4 n^2 a0 overflows", 2)
     if not (math.isfinite(s_max) and s_max > 0.0):
         return _fail(f"--s-max must be finite and positive, got {s_max!r}", 2)
     s_vals = np.linspace(s_max / args.samples, s_max, args.samples)

@@ -4,10 +4,12 @@ Symmetric three-point discretization with Dirichlet ends plus an
 eigensolver that takes Laguerre steps on the LDL^T sweep, each kept inside
 a bracket proved by Sturm counts.  Every level is closed by counts on its
 own operator, to max(2e-10 relative, 2 eps ||T||), the rounding floor of the
-pivots.  A start (an earlier grid's eigenvalue) only moves the first sweep,
+pivots, and never below pivmin, the pivots' clamp away from zero:
+1e-290 max(1, max off^2), or with no coupled row the smallest normal float,
+2.2e-308.  A start (an earlier grid's eigenvalue) only moves the first sweep,
 so it changes the cost of a solve and never what certifies it.  Richardson
 refinement solves a grid and its double, starting the grid from a pilot
-1/16 as fine and the double from the grid.
+1/16 as fine and the double from the grid; the pilot must hold a node a level.
 Deliberately self-contained (no linear-algebra library) so it can
 cross-validate the analytic Bessel spectrum without sharing any machinery
 with it.
@@ -37,8 +39,9 @@ _STEP_RTOL = 1e-10
 # a Laguerre correction below this, relative to the shift, lands within
 # _STEP_RTOL by cubic convergence: two counts then certify the step
 _CERT_RTOL = 1e-4
-# Richardson's pilot grid: this many times coarser than its coarse grid
-_PILOT_RATIO = 16
+# Richardson's pilot grid is this many times coarser than its coarse grid,
+# and still holds a node for every level
+PILOT_RATIO = 16
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,9 @@ def discretize(
 
 
 def _pivmin(off_sq: Sequence[float]) -> float:
-    return 1e-290 * max(1.0, max(off_sq, default=1.0))
+    # with no coupled row no square sets a scale: pivots resolve to the normal floats
+    largest = max(off_sq, default=0.0)
+    return 1e-290 * max(1.0, largest) if largest else _TINY
 
 
 def _count(diag: Sequence[float], above_sq: Sequence[float], x: float, pivmin: float) -> int:
@@ -297,8 +302,9 @@ def eigenvalues_lowest(
                 break
             move = step - x
             # a correction against the last one has crossed lam_k by rounding:
-            # it is trusted only while the corrections halve
-            turned = move * last < 0.0 and abs(move) > 0.5 * abs(last)
+            # it is trusted only while the corrections halve (signs compared, not
+            # multiplied: the product of two tiny corrections underflows to 0)
+            turned = (move < 0.0 < last or last < 0.0 < move) and abs(move) > 0.5 * abs(last)
             if turned or math.isnan(step):
                 x = 0.5 * lo[k] + 0.5 * hi[k]
                 last = 0.0
@@ -343,13 +349,18 @@ def richardson_refine(
     Cancels the leading O(h^2) discretization error using the exact grid
     steps (they differ by slightly less than a factor two), leaving O(h^4).
     A pilot grid of n_coarse // 16 nodes gives the coarse solve its `start`,
-    and the coarse eigenvalues give the fine solve its own; the pilot is
-    skipped when it would have fewer than `count` nodes.  Each grid's levels
-    are certified by counts on that grid, whatever its start.  Extrapolated
-    levels that leave the floating-point range are refused with ValueError.
+    and the coarse eigenvalues give the fine solve its own.  Each grid's
+    levels are certified by counts on that grid, whatever its start.  A
+    coarse grid of fewer than 16 nodes a level, whose upper levels the
+    extrapolation would make up out of order, is refused with ValueError, and
+    so are extrapolated levels that leave the floating-point range.
     """
-    n_pilot = n_coarse // _PILOT_RATIO
-    pilot = eigenvalues_lowest(discretize(W, L, n_pilot), count) if n_pilot >= count else None
+    if n_coarse < PILOT_RATIO * count:
+        raise ValueError(
+            f"{count} levels need at least {PILOT_RATIO * count} coarse nodes"
+            f" ({PILOT_RATIO} a level), got {n_coarse}"
+        )
+    pilot = eigenvalues_lowest(discretize(W, L, n_coarse // PILOT_RATIO), count)
     coarse = eigenvalues_lowest(discretize(W, L, n_coarse), count, start=pilot)
     fine = eigenvalues_lowest(discretize(W, L, 2 * n_coarse), count, start=coarse)
     h_c = L / (n_coarse + 1)

@@ -24,13 +24,10 @@ from .specfun import pointwise, shaped_like
 __all__ = [
     "CurvatureLaw",
     "PlaneCurveSamples",
-    "cs_functions",
     "hydrogen_curve",
     "polyene_curve",
     "frenet_integrate",
     "curvature_of_samples",
-    "sample_hydrogen_curve",
-    "sample_polyene_curve",
 ]
 
 # cap on the RK4 sub-steps of one frenet_integrate call
@@ -95,14 +92,6 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
-def cs_functions(
-    law: CurvatureLaw, s: float | np.ndarray
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """The (cos, sin) pair of the swept tangent angle for a power-law curve."""
-    theta = np.asarray(law.turning_angle(s))
-    return shaped_like(pointwise(math.cos, theta), s), shaped_like(pointwise(math.sin, theta), s)
-
-
 @dataclass(frozen=True, eq=False)
 class PlaneCurveSamples:
     """Arc-length-indexed curve samples, immutable after construction."""
@@ -148,7 +137,8 @@ def polyene_curve(sigma: float, s: float | np.ndarray) -> np.ndarray:
     shape s.shape + (2,).
     """
     s = np.asarray(s, dtype=float)
-    c, sn = cs_functions(CurvatureLaw(sigma, 1.0), s)
+    theta = np.asarray(CurvatureLaw(sigma, 1.0).turning_angle(s))
+    c, sn = pointwise(math.cos, theta), pointwise(math.sin, theta)
     sq = sigma * sigma
     with np.errstate(over="ignore", invalid="ignore"):  # callers check the points
         amp = sigma * s / (1.0 + sq)
@@ -261,12 +251,3 @@ def curvature_of_samples(samples: PlaneCurveSamples) -> np.ndarray:
     speed = np.linalg.norm(d1, axis=1)
     return np.abs(cross) / speed**3
 
-
-def sample_hydrogen_curve(sigma: float, s_values: np.ndarray) -> PlaneCurveSamples:
-    s = np.asarray(s_values, dtype=float)
-    return PlaneCurveSamples(s_values=s, points=hydrogen_curve(sigma, s))
-
-
-def sample_polyene_curve(sigma: float, s_values: np.ndarray) -> PlaneCurveSamples:
-    s = np.asarray(s_values, dtype=float)
-    return PlaneCurveSamples(s_values=s, points=polyene_curve(sigma, s))

@@ -14,12 +14,11 @@ import pytest
 from spiralbox import fdsolver, specfun
 from spiralbox.geometry import (
     CurvatureLaw,
+    PlaneCurveSamples,
     curvature_of_samples,
     frenet_integrate,
     hydrogen_curve,
     polyene_curve,
-    sample_hydrogen_curve,
-    sample_polyene_curve,
 )
 from spiralbox.polyene import Molecule, fit_effective_mass, fit_sigma, lambda_model
 from spiralbox.quantum import (
@@ -169,9 +168,9 @@ def test_criterion_6_geometry_suite():
             assert np.linalg.norm(aligned[i] - ref) < 1e-8
 
         s_grid = np.arange(1.0, 2.0, 1e-3)
-        k_poly = curvature_of_samples(sample_polyene_curve(sigma, s_grid))
+        k_poly = curvature_of_samples(PlaneCurveSamples(s_grid, polyene_curve(sigma, s_grid)))
         assert np.max(np.abs(k_poly * (sigma * s_grid[1:-1]) - 1.0)) < 1e-3
-        k_hydro = curvature_of_samples(sample_hydrogen_curve(1.0, s_grid))
+        k_hydro = curvature_of_samples(PlaneCurveSamples(s_grid, hydrogen_curve(1.0, s_grid)))
         assert np.max(np.abs(k_hydro * np.sqrt(s_grid[1:-1]) - 1.0)) < 1e-3
 
 

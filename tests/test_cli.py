@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from oracles import frenet_loop
 import spiralbox
-from spiralbox import cli, geometry, polyene, quantum
+from spiralbox import cli, geometry, polyene, quantum, svgplot
 from spiralbox.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -145,6 +145,56 @@ def test_curve_text_matches_pointwise_formatting(tmp_path, p):
         for x, y in pts
     )
     assert f'<polyline points="{coords}" fill="none"' in svg_out.read_text()
+
+
+@pytest.mark.parametrize("p", ["1", "0.5"])
+def test_curve_linear_spacing_takes_evenly_spaced_arc_lengths(tmp_path, p):
+    sigma = 0.063
+    out = tmp_path / "c.csv"
+    argv = ["curve", "--sigma", repr(sigma), "--p", p, "--spacing", "linear", "--samples", "5"]
+    assert main(argv + ["--output", str(out)]) == 0
+    closed_form = geometry.polyene_curve if p == "1" else geometry.hydrogen_curve
+    s = np.linspace(0.05, 4.0, 5)
+    rows = [f"{v:.10g},{x:.10g},{y:.10g}" for v, (x, y) in zip(s, closed_form(sigma, s))]
+    assert out.read_text() == "\n".join([f"# sigma = {sigma:.10g}", f"# p = {float(p):.10g}",
+                                         "s,x,y", *rows]) + "\n"
+
+
+def test_curve_svg_above_the_path_cap_keeps_5000_points_and_both_ends(tmp_path):
+    # a short arc, monotone in x and y, so its box is set by its two end points
+    # and survives any thinning that keeps them
+    sigma, samples = 1.0, 6000
+    out = tmp_path / "c.svg"
+    argv = ["curve", "--sigma", "1", "--s-min", "1", "--s-max", "1.5", "--samples", str(samples)]
+    assert main(argv + ["--format", "svg", "--output", str(out)]) == 0
+    pts = geometry.polyene_curve(sigma, np.geomspace(1.0, 1.5, samples))
+    ends = {0, samples - 1}
+    assert set(pts.argmin(axis=0)) | set(pts.argmax(axis=0)) == ends
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    scale = 540.0 / float(max(hi - lo))
+    cx, cy = 0.5 * (lo + hi)
+    coords = out.read_text().split('points="')[1].split('"')[0].split()
+    assert len(coords) == svgplot.MAX_PATH_POINTS
+    for coord, (x, y) in zip((coords[0], coords[-1]), (pts[0], pts[-1])):
+        px, py = 300.0 + (x - cx) * scale, 300.0 - (y - cy) * scale
+        assert coord == f"{_svg_coord(px)},{_svg_coord(py)}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--sigma", "1"],
+        ["wavefunction", "--sigma", "0.05", "--level", "1"],
+        ["hydrogen", "--n-level", "1"],
+    ],
+    ids=["curve", "wavefunction", "hydrogen"],
+)
+def test_one_sample_is_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--samples", "1", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --samples must be at least 2\n"
+    assert not out.exists()
 
 
 def test_tiny_sigma_writes_one_error_line_and_nothing_else(tmp_path):
@@ -551,6 +601,15 @@ def test_report_sigma_count_mismatch(tmp_path):
     assert code == 2
 
 
+def test_report_refuses_sigmas_that_are_not_numbers(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    argv = ["report", "--molecules", str(DATA_DIR / "polyenes_roundtrip.json"),
+            "--sigmas", "0.05,0.04,abc,0.03", "--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --sigmas must be a comma-separated list of numbers\n"
+    assert not out.exists()
+
+
 _FIT_HEADER = "name,sigma,omega,lambda_calc_nm,lambda_exp_nm,percent_error"
 
 # names csv must quote, one starting with a space, and a row with no measurement
@@ -822,6 +881,16 @@ def test_hydrogen_non_finite_input_or_result_exits_2(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_hydrogen_default_s_max_that_overflows_names_the_flags_given(tmp_path, capsys):
+    # the default 4 n^2 a0 overflowed into "--s-max must be finite and positive, got inf"
+    out = tmp_path / "hyd.csv"
+    assert main(["hydrogen", "--n-level", "10000", "--a0", "1e300", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: --n-level 10000 and --a0 1e+300")
+    assert "--s-max" in err and "overflows" in err
+    assert not out.exists()
+
+
 def test_hydrogen_huge_a0_writes_the_3d_density_equal_to_the_1d_one(tmp_path):
     # (2/(n a0))^3 underflowed past n a0 ~ 1e103, and prob_3d_radial read 0
     out = tmp_path / "hyd.csv"
@@ -986,7 +1055,7 @@ def test_level_counts_above_the_limit_exit_2_at_once(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--grid", "150"], ["--grid", "10", "--mode", "literal"]], ids=["effective", "literal"]
+    "argv", [["--grid", "2400"], ["--grid", "10", "--mode", "literal"]], ids=["effective", "literal"]
 )
 def test_oracle_at_the_level_limit_is_accepted(tmp_path, argv):
     out = tmp_path / "oracle.csv"
@@ -1007,12 +1076,14 @@ def test_oracle_levels_above_the_grid_name_both_flags(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_oracle_with_as_many_levels_as_grid_points_is_accepted(tmp_path):
+def test_oracle_with_as_many_levels_as_grid_points_is_refused(tmp_path, capsys):
+    # `--omega 3.9` here gave fd_epsilon 1019.9 at level 9 and 716.8 at level 10
     out = tmp_path / "oracle.csv"
-    argv = ["oracle", "--omega", "1", "--levels", "10", "--grid", "10", "--output", str(out)]
-    assert main(argv) == 0
-    _, rows = read_csv(out)
-    assert len(rows) == 10
+    argv = ["oracle", "--omega", "3.9", "--levels", "10", "--grid", "10", "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --levels 10 needs --grid 160 or more (16 points a level), got --grid 10\n"
+    assert not out.exists()
 
 
 def test_oracle_grid_step_too_small_for_its_inverse_fourth_power_exits_2(tmp_path):
@@ -1128,7 +1199,7 @@ _COMMANDS = st.one_of(
         st.lists(_S, min_size=2, max_size=2, unique=True).map(sorted),
     ).map(lambda t: ["curve"] + t[0] + [f"--s-min={t[1][0]!r}", f"--s-max={t[1][1]!r}"]),
     _flags(
-        omega=_FLOAT, length=_FLOAT, levels=st.integers(1, 2), grid=st.just(10),
+        omega=_FLOAT, length=_FLOAT, levels=st.integers(1, 2), grid=st.just(32),
         mode=st.sampled_from(["effective", "literal"]),
     ).map(lambda f: ["oracle"] + f),
     _flags(n_level=st.integers(1, 3), a0=_FLOAT, s_max=_FLOAT, samples=st.integers(2, 5)).map(

@@ -128,17 +128,18 @@ def test_levels_near_the_top_of_the_float_range_stay_finite():
     op = discretize(well, 1.0, 20)
     # every level is 1.7e308 + 4/h^2 sin^2(...), to within the floor 2 eps ||T||
     for levels in (eigenvalues_lowest(op, 2, start=[1.7e308, 1.7e308]),
-                   richardson_refine(well, 1.0, 2, 10)):
+                   richardson_refine(well, 1.0, 2, 32)):
         assert levels.tolist() == pytest.approx([1.7e308, 1.7e308], rel=1e-15)
 
 
 def test_richardson_weights_are_scaled_into_the_float_range():
     # c2 * fine, with c2 = h^2 ~ 2e117 and fine ~ 1e200, overflowed to inf
-    refined = richardson_refine(lambda s: 1e200 + 0.0 * s, 1e60, 2, 20)
+    refined = richardson_refine(lambda s: 1e200 + 0.0 * s, 1e60, 2, 32)
     assert refined.tolist() == pytest.approx([1e200, 1e200], rel=1e-15)
     # where the products are floats, the scaled weights give the same bits
-    length, n = 3.7, 40
-    coarse = eigenvalues_lowest(discretize(inverse_square(2.5), length, n), 3)
+    length, n = 3.7, 48
+    pilot = eigenvalues_lowest(discretize(inverse_square(2.5), length, n // 16), 3)
+    coarse = eigenvalues_lowest(discretize(inverse_square(2.5), length, n), 3, start=pilot)
     fine = eigenvalues_lowest(discretize(inverse_square(2.5), length, 2 * n), 3, start=coarse)
     c2, f2 = (length / (n + 1)) ** 2, (length / (2 * n + 1)) ** 2
     want = (c2 * fine - f2 * coarse) / (c2 - f2)
@@ -250,6 +251,30 @@ def test_exact_eigenvalue_shift_is_counted():
     assert sturm_count(op, lam * (1.0 - 1e-12)) == 1
     assert sturm_count(op, lam * (1.0 + 1e-12)) == 2
     assert sturm_count(op, lam) in (1, 2)
+
+
+def test_uncoupled_levels_resolve_down_to_the_normal_floats(monkeypatch):
+    # pivmin was 1e-290 without a coupled row: the level 8e-300 came out -1e-290
+    assert eigenvalues_lowest(discretize(zero_potential, 1e150, 1), 1).tolist() == pytest.approx(
+        [8e-300], rel=1e-6
+    )
+    # two corrections of ~1e-200 multiplied to 0 in the sign test, which then
+    # missed every turn, and the steps went back and forth between two points
+    sweeps = []
+    sweep = fdsolver._sweep
+
+    def counted(*args):
+        sweeps.append(1)
+        if len(sweeps) > 1000:
+            raise RuntimeError("more than 1000 sweeps")
+        return sweep(*args)
+
+    monkeypatch.setattr(fdsolver, "_sweep", counted)
+    for scale in (1e-160, 1e-200, 1e-280, 1e-300):
+        diag = np.array([3.0, 1e-5, 0.2]) * scale
+        got = eigenvalues_lowest(TridiagonalOperator(diag, np.zeros(2), 1.0), 3)
+        # each level to within twice the bracket floor, the smallest normal float
+        assert np.all(np.abs(got - np.sort(diag)) <= np.maximum(1e-9 * np.sort(diag), 5e-308))
 
 
 # --- eigenvalue extraction --------------------------------------------------------
@@ -499,16 +524,24 @@ def test_literal_mode_starts_each_finer_grid_from_the_last_ground_level(
         assert abs(warm[0] - cold[0]) <= 4.0 * _tol(op, cold[0])
 
 
-@pytest.mark.parametrize("levels,grid", [(150, 150), (3, 10), (3, 48)])
-def test_oracle_on_grids_too_small_for_the_pilot(monkeypatch, tmp_path, levels, grid):
-    # the pilot has grid // 16 nodes and is skipped when that is fewer than the
-    # levels; at --grid 48 it has just 3
+@pytest.mark.parametrize("levels,grid", [(150, 150), (3, 10), (3, 47), (3, 48)])
+def test_oracle_on_grids_too_small_for_the_pilot(monkeypatch, tmp_path, capsys, levels, grid):
+    # the pilot has grid // 16 nodes, at --grid 48 just the 3 levels' 3; below one
+    # node a level the extrapolation made up the upper levels out of order, and
+    # the command is refused before any solve
     solves = _record_solves(monkeypatch)
     out = tmp_path / "o.csv"
     argv = ["oracle", "--omega", "1", "--levels", str(levels), "--grid", str(grid)]
+    if grid < 16 * levels:
+        assert cli.main(argv + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"--grid {16 * levels} or more" in err
+        assert solves == [] and not out.exists()
+        with pytest.raises(ValueError, match="16 a level"):
+            richardson_refine(inverse_square(1.0), 1.0, levels, grid)
+        return
     assert cli.main(argv + ["--output", str(out)]) == 0
-    pilot = [grid // 16] if grid // 16 >= levels else []
-    assert [op.size for op, _, _ in solves] == pilot + [grid, 2 * grid]
+    assert [op.size for op, _, _ in solves] == [grid // 16, grid, 2 * grid]
     # the extrapolation from a cold coarse solve, as before the pilot: its
     # coarse and fine values agree within their count brackets, so the
     # printed 10 digits stay put

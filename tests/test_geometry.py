@@ -12,13 +12,10 @@ from spiralbox import geometry
 from spiralbox.geometry import (
     CurvatureLaw,
     PlaneCurveSamples,
-    cs_functions,
     curvature_of_samples,
     frenet_integrate,
     hydrogen_curve,
     polyene_curve,
-    sample_hydrogen_curve,
-    sample_polyene_curve,
 )
 
 
@@ -44,7 +41,7 @@ def align_to_closed_form(result, closed_form, s0):
     return pts + (closed_form(s0) - pts[0])
 
 
-# --- curvature law and cs_functions ------------------------------------------
+# --- curvature law and turning angle -----------------------------------------
 
 
 def test_curvature_law_validation():
@@ -86,30 +83,39 @@ def test_curvature_of_an_array_names_the_first_failing_s():
     assert CurvatureLaw(1e300, 1.0).k(np.array([1e10])).tolist() == [0.0]
 
 
+def _cs(law, s):
+    # the (cos, sin) pair of the turning angle, as the closed forms take it
+    theta = law.turning_angle(s)
+    return math.cos(theta), math.sin(theta)
+
+
 def test_cs_functions_p_zero_is_plain_angle():
     law = CurvatureLaw(1.0, 0.0)
     for s in (0.3, 1.0, 2.5, 7.0):
-        c, sn = cs_functions(law, s)
+        assert law.turning_angle(s) == pytest.approx(s, abs=1e-14)
+        c, sn = _cs(law, s)
         assert c == pytest.approx(math.cos(s), abs=1e-14)
         assert sn == pytest.approx(math.sin(s), abs=1e-14)
 
 
 def test_cs_functions_log_branch_at_unit_arc():
     for sigma in (0.2, 1.0, 3.0):
-        assert cs_functions(CurvatureLaw(sigma, 1.0), 1.0) == (1.0, 0.0)
+        assert CurvatureLaw(sigma, 1.0).turning_angle(1.0) == 0.0
+        assert _cs(CurvatureLaw(sigma, 1.0), 1.0) == (1.0, 0.0)
 
 
 def test_cs_functions_sqrt_branch():
-    c, sn = cs_functions(CurvatureLaw(2.0, 0.5), 1.0)
+    law = CurvatureLaw(2.0, 0.5)
+    assert law.turning_angle(1.0) == pytest.approx(1.0, abs=1e-14)
+    c, sn = _cs(law, 1.0)
     assert c == pytest.approx(math.cos(1.0), abs=1e-14)
     assert sn == pytest.approx(math.sin(1.0), abs=1e-14)
 
 
 def test_cs_functions_domain():
-    with pytest.raises(ValueError):
-        cs_functions(CurvatureLaw(1.0, 0.5), 0.0)
-    with pytest.raises(ValueError):
-        cs_functions(CurvatureLaw(1.0, 0.5), -1.0)
+    for s in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            CurvatureLaw(1.0, 0.5).turning_angle(s)
 
 
 # --- closed forms --------------------------------------------------------------
@@ -206,9 +212,6 @@ def test_closed_forms_of_an_array_equal_their_single_points():
         ):
             points = curve(s)
             assert points.tolist() == [curve(float(v)).tolist() for v in s]
-        samples = sample_hydrogen_curve(sigma, s)
-        assert samples.points.tolist() == hydrogen_curve(sigma, s).tolist()
-        assert sample_polyene_curve(sigma, s).points.tolist() == polyene_curve(sigma, s).tolist()
 
 
 def test_turning_angle_of_an_array_names_the_first_failing_s():
@@ -300,6 +303,12 @@ def test_frenet_rejects_non_finite_curvature():
         frenet_integrate(lambda s: math.inf, 0.0, 1.0, 10)
     with pytest.raises(ValueError):
         frenet_integrate(lambda s: 1.0, 2.0, 1.0, 10)
+
+
+def test_frenet_refuses_zero_steps():
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match="^steps must be a positive integer$"):
+            frenet_integrate(lambda s: 1.0, 0.0, 1.0, steps)
 
 
 def _sub_steps(law, s0, s1, steps):
@@ -417,7 +426,7 @@ def test_curvature_of_straight_line():
 def test_curvature_of_polyene_samples():
     sigma = math.sqrt(0.004)
     s = np.arange(1.0, 2.0, 1e-3)
-    k = curvature_of_samples(sample_polyene_curve(sigma, s))
+    k = curvature_of_samples(PlaneCurveSamples(s, polyene_curve(sigma, s)))
     expected = 1.0 / (sigma * s[1:-1])
     assert np.max(np.abs(k / expected - 1.0)) < 1e-3
 
@@ -425,7 +434,7 @@ def test_curvature_of_polyene_samples():
 def test_curvature_of_hydrogen_samples():
     sigma = 1.0
     s = np.arange(1.0, 2.0, 1e-3)
-    k = curvature_of_samples(sample_hydrogen_curve(sigma, s))
+    k = curvature_of_samples(PlaneCurveSamples(s, hydrogen_curve(sigma, s)))
     expected = 1.0 / (sigma * np.sqrt(s[1:-1]))
     assert np.max(np.abs(k / expected - 1.0)) < 1e-3
 

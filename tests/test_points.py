@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from spiralbox.geometry import CurvatureLaw, cs_functions
+from spiralbox.geometry import CurvatureLaw
 from spiralbox.quantum import (
     hydrogen_radial_3d,
     hydrogen_wavefunction_1d,
@@ -31,7 +31,6 @@ FUNCTIONS = {
     ),
     "CurvatureLaw.k": (_LAW.k, lambda rng, k: rng.uniform(0.01, 9.0, k)),
     "CurvatureLaw.turning_angle": (_LAW.turning_angle, lambda rng, k: rng.uniform(0.01, 9.0, k)),
-    "cs_functions": (lambda s: cs_functions(_LAW, s), lambda rng, k: rng.uniform(0.01, 9.0, k)),
     "hydrogen_wavefunction_1d": (
         lambda s: hydrogen_wavefunction_1d(3, s, 1.3),
         lambda rng, k: rng.uniform(0.01, 60.0, k),
@@ -48,7 +47,7 @@ FUNCTIONS = {
 
 
 def _parts(value):
-    # a pair of results (cs_functions, scaled laguerre) is checked part by part
+    # a pair of results (scaled laguerre) is checked part by part
     return value if isinstance(value, tuple) else (value,)
 
 

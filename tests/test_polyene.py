@@ -314,6 +314,13 @@ def test_fit_requires_lambda_exp():
         fit_sigma(ALL_MOLECULES[0])
 
 
+def test_fit_refuses_a_tolerance_that_is_not_positive():
+    mol = make_molecule("target", 8, 7, lambda_exp=400.0)
+    for tol in (0.0, -1e-6):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            fit_sigma(mol, tol=tol)
+
+
 # --- effective mass ---------------------------------------------------------------
 
 
@@ -434,4 +441,11 @@ def test_load_molecules_validates_schema(tmp_path):
         load_molecules(bad)
     bad.write_text(json.dumps({"not": "a list"}))
     with pytest.raises(ValueError, match="array"):
+        load_molecules(bad)
+    good = {"name": "x", "n_pi": 8, "box_length_nm": 1.0, "source": ""}
+    bad.write_text(json.dumps([good, {**good, "name": 7}]))
+    with pytest.raises(ValueError, match="^record 1: name must be a string, got 7$"):
+        load_molecules(bad)
+    bad.write_text(json.dumps([good, ["x", 8, 1.0, ""]]))
+    with pytest.raises(ValueError, match="^record 1 is not a JSON object$"):
         load_molecules(bad)

@@ -218,9 +218,6 @@ def test_curvature_law_and_its_turning_angle(sigma, p, s):
             want = _exact(lambda a, q, v: v ** (1 - q) / (a * (1 - q)), sigma, p, s)
         # 1 - p is rounded, which moves s^(1 - p) by up to |ln s| ulps
         assert _rounds(theta, want, rel=1e-12), (sigma, p, s)
-    cs = _refused_or(geometry.cs_functions, law, s)
-    if cs is not None:
-        assert cs == (math.cos(theta), math.sin(theta))
 
 
 @PROPERTY
@@ -322,16 +319,22 @@ def test_fd_levels_are_certified_by_their_counts(potential, length, nodes, shift
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(potential=POTENTIALS, length=LENGTHS, nodes=st.integers(1, 100), count=st.integers(1, 4))
-@example(potential=(1e200, 0.0), length=1e60, nodes=20, count=2)  # c2 * fine overflowed
-@example(potential=(HUGE, 0.0), length=1.0, nodes=1, count=1)  # the result rounded to inf
+@example(potential=(1e200, 0.0), length=1e60, nodes=32, count=2)  # c2 * fine overflowed
+@example(potential=(HUGE, 0.0), length=1.0, nodes=16, count=1)  # the result rounded to inf
 def test_richardson_levels_are_finite_and_ascending(potential, length, nodes, count):
-    values = _refused_or(fdsolver.richardson_refine, _potential(*potential), length, count, nodes)
+    W = _potential(*potential)
+    values = _refused_or(fdsolver.richardson_refine, W, length, count, nodes)
     if values is not None:
         assert values.shape == (count,) and np.all(np.isfinite(values)), (potential, length, nodes)
-        # extrapolation assumes each level resolved: with a few nodes a level, level
-        # k + 1 can land below level k (`oracle --omega 3.9 --levels 10 --grid 10`)
-        if nodes >= 8 * count:
-            assert np.all(np.diff(values) >= 0.0), (potential, length, nodes, values)
+        assert np.all(np.diff(values) >= 0.0), (potential, length, nodes, values)
+        return
+    # refused: fewer than 16 nodes a level, a grid that discretize refuses, or an
+    # extrapolation past the float range, which takes levels beyond half its edge
+    grids = [_refused_or(fdsolver.discretize, W, length, n)
+             for n in (nodes // 16, nodes, 2 * nodes)]
+    if nodes >= 16 * count and all(op is not None for op in grids):
+        levels = [fdsolver.eigenvalues_lowest(op, count) for op in grids[1:]]
+        assert np.max(np.abs(levels)) > HUGE / 4, (potential, length, nodes, count)
 
 
 # --- specfun ----------------------------------------------------------------------
