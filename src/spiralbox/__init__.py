@@ -10,7 +10,6 @@ from .fdsolver import discretize, eigenvalues_lowest, richardson_refine
 from .geometry import (
     CurvatureLaw,
     PlaneCurveSamples,
-    curvature_of_samples,
     frenet_integrate,
     hydrogen_curve,
     polyene_curve,
@@ -28,18 +27,15 @@ from .quantum import (
     SpiralBoxSpectrum,
     geometry_induced_potential,
     hydrogen_radial_3d,
+    hydrogen_radial_density,
     hydrogen_wavefunction_1d,
     omega_from_sigma,
-    pib_closed_energy,
     pib_open_energy,
+    sigma_from_omega,
     spiral_box_spectrum,
     spiral_box_wavefunction,
     transition_wavelength,
 )
-from .specfun import (
-    bessel_j,
-    bessel_j_zero,
-    laguerre,
-)
+from .specfun import bessel_j, bessel_j_zeros, laguerre
 
 __version__ = "0.1.0"

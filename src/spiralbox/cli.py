@@ -8,7 +8,8 @@ The argument parser is built once per process, on the first call of `main`,
 and reused by every later call.
 
 Exit codes: 0 success, 2 invalid flags (every float flag must be finite, and
-so must every number written), 3 write failure, 4 fit failure.
+so must every number written; a size flag past its cap is refused at once),
+3 write failure, 4 fit failure.
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ import numpy as np
 from . import fdsolver, geometry, polyene, quantum, specfun, svgplot
 
 __all__ = ["main", "build_parser"]
+
+# Size caps, refused at once with exit 2.  At the other flags' defaults a
+# command at its cap takes about 2 s (Python 3.11, 2 vCPUs): 1.7 s for a
+# curve CSV and 2.3 s for wavefunction or hydrogen at 10^6 samples, and
+# 2.4 s for a literal-mode oracle, which solves 2x and 4x the grid too, at
+# --grid 160 000 (effective mode: 0.6 s).
+MAX_SAMPLES = 1_000_000
+MAX_GRID = 160_000
+_SIZE_CAPS = {"samples": MAX_SAMPLES, "grid": MAX_GRID}
 
 
 def _num(v: float) -> str:
@@ -224,14 +234,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         # curvature potential taken at face value: attractive 1/s^2, which is
         # supercritical for sigma < 1 -- the ground level dives as the grid
         # refines instead of converging
-        sigma = 1.0 / math.sqrt(1.0 + 4.0 * omega * omega)
+        sigma = quantum.sigma_from_omega(omega)
         if sigma == 0.0:
             return _fail(f"--omega {omega!r} is too large: sigma underflows to 0", 2)
-        coeff = -1.0 / (4.0 * sigma * sigma)
+        law = geometry.CurvatureLaw(sigma, 1.0)
         grids = [args.grid, 2 * args.grid, 4 * args.grid]
         ground = []
         for n_grid in grids:
-            op = fdsolver.discretize(lambda s: coeff / (s * s), length, n_grid)
+            # -psi'' + W psi with W = 2 V, V the potential at hbar = m = 1
+            op = fdsolver.discretize(
+                lambda s: 2.0 * quantum.geometry_induced_potential(law.k(s), 1.0), length, n_grid
+            )
             # the operator is K_N / h^2 and K_N leads K_2N, so the last ground
             # level rescaled to this h bounds this one from above and starts
             # its solve
@@ -479,6 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             return _fail(f"--{name.replace('_', '-')} must be finite, got {value!r}", 2)
+        if name in _SIZE_CAPS and value > _SIZE_CAPS[name]:
+            return _fail(f"--{name} must be at most {_SIZE_CAPS[name]}, got {value}", 2)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except OSError as exc:

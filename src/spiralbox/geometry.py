@@ -27,7 +27,6 @@ __all__ = [
     "hydrogen_curve",
     "polyene_curve",
     "frenet_integrate",
-    "curvature_of_samples",
 ]
 
 # cap on the RK4 sub-steps of one frenet_integrate call
@@ -230,24 +229,4 @@ def _curvature(k: Callable, s: np.ndarray) -> np.ndarray:
     if not ok.all():
         raise ValueError(f"curvature is not finite at s = {s[~ok][0].item()!r}")
     return val
-
-
-def curvature_of_samples(samples: PlaneCurveSamples) -> np.ndarray:
-    """Finite-difference curvature |a' x a''| / |a'|^3 at interior nodes.
-
-    Requires at least three uniformly spaced samples.
-    """
-    s = samples.s_values
-    pts = samples.points
-    if s.size < 3:
-        raise ValueError("curvature reconstruction needs at least 3 samples")
-    steps = np.diff(s)
-    h = steps[0]
-    if not np.allclose(steps, h, rtol=1e-8, atol=0.0):
-        raise ValueError("curvature reconstruction needs uniform arc-length spacing")
-    d1 = (pts[2:] - pts[:-2]) / (2.0 * h)
-    d2 = (pts[2:] - 2.0 * pts[1:-1] + pts[:-2]) / (h * h)
-    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    speed = np.linalg.norm(d1, axis=1)
-    return np.abs(cross) / speed**3
 

@@ -163,7 +163,7 @@ def fit_sigma(mol: Molecule, mass: float = 1.0, tol: float = 1e-6) -> FitResult:
     lam: dict[float, float] = {}
 
     def excess(omega: float) -> float:
-        lam[omega] = lambda_model(1.0 / math.sqrt(1.0 + 4.0 * omega * omega), mol, mass)
+        lam[omega] = lambda_model(quantum.sigma_from_omega(omega), mol, mass)
         return lam[omega] - target
 
     lo, g_lo = 0.0, excess(0.0)
@@ -181,7 +181,7 @@ def fit_sigma(mol: Molecule, mass: float = 1.0, tol: float = 1e-6) -> FitResult:
     lam_calc = lam[omega]
     return FitResult(
         name=mol.name,
-        sigma=1.0 / math.sqrt(1.0 + 4.0 * omega * omega),
+        sigma=quantum.sigma_from_omega(omega),
         omega=omega,
         lambda_calc=lam_calc,
         lambda_exp=target,

@@ -1,9 +1,11 @@
 """Closed-form quantum mechanics layer.
 
-Covers the curvature-induced potential -hbar^2 k^2 / (8m), the Dirichlet
-spectrum of the inverse-square problem on a spiral box (Bessel zeros), the
-straight particle-in-a-box baselines, transition wavelengths, and the 1D
-hydrogen bound states with their 3D radial counterparts.
+Covers the curvature-induced potential -hbar^2 k^2 / (8 m), at one k or an
+array of them (the literal-mode oracle discretizes it), the Bessel order
+omega of sigma and back, the Dirichlet spectrum of the inverse-square problem
+on a spiral box (Bessel zeros) and its eigenfunctions, the straight
+particle-in-a-box levels, transition wavelengths, and the 1D hydrogen bound
+states with their 3D radial functions and densities.
 
 All internal arithmetic is in Hartree atomic units (hbar = m_e = 1);
 electron-volts and nanometers enter only through the module constants
@@ -30,11 +32,11 @@ __all__ = [
     "SpiralBoxSpectrum",
     "geometry_induced_potential",
     "omega_from_sigma",
+    "sigma_from_omega",
     "spiral_box_spectrum",
     "spiral_box_normalization",
     "spiral_box_wavefunction",
     "pib_open_energy",
-    "pib_closed_energy",
     "transition_wavelength",
     "hydrogen_wavefunction_1d",
     "hydrogen_radial_3d",
@@ -58,15 +60,20 @@ def hartree_to_ev(energy: float) -> float:
     return energy * HARTREE_EV
 
 
-def geometry_induced_potential(k_value: float, mass: float) -> float:
-    """Scalar potential -hbar^2 k^2 / (8 m) felt by a particle bound to a curve."""
+def geometry_induced_potential(k: float | np.ndarray, mass: float) -> float | np.ndarray:
+    """Potential -hbar^2 k^2 / (8 m) felt by a particle bound to a curve of
+    curvature k, at one k or an array of them; an error names the first k at
+    which it overflows."""
     if mass <= 0.0:
         raise ValueError("mass must be positive")
-    # k/m first: k^2 and 8 m can leave the float range where the potential does not
-    value = -(k_value / mass) * k_value / 8.0
-    if not math.isfinite(value):
-        raise ValueError(f"the potential overflows at k = {k_value!r}, mass = {mass!r}")
-    return value
+    flat = np.asarray(k, dtype=float).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        # k/m first: k^2 and 8 m can leave the float range where the potential does not
+        value = -(flat / mass) * flat / 8.0
+    bad = flat[~np.isfinite(value)]
+    if bad.size:
+        raise ValueError(f"the potential overflows at k = {bad[0].item()!r}, mass = {mass!r}")
+    return specfun.shaped_like(value, k)
 
 
 def omega_from_sigma(sigma: float) -> float:
@@ -77,14 +84,18 @@ def omega_from_sigma(sigma: float) -> float:
     return 0.5 * math.sqrt(abs(1.0 - 1.0 / sq))
 
 
+def sigma_from_omega(omega: float) -> float:
+    """sigma = 1/sqrt(1 + 4 omega^2) <= 1 of Bessel order omega: the branch of
+    omega_from_sigma that the fit reports (0 where 4 omega^2 overflows)."""
+    return 1.0 / math.sqrt(1.0 + 4.0 * omega * omega)
+
+
 @dataclass(frozen=True)
 class SpiralBoxSpectrum:
     """Dirichlet levels E_n = hbar^2 j_{omega,n}^2 / (2 m L^2) on [0, L]."""
 
-    sigma: float
     omega: float
     box_length: float
-    mass: float
     zeros: tuple[float, ...]
     energies: tuple[float, ...]
 
@@ -124,14 +135,7 @@ def spiral_box_spectrum(
     energies = tuple(pref * j * j for j in zeros)
     if not math.isfinite(energies[-1]):
         raise ValueError(f"energies leave the float range at mass = {mass!r}, L = {box_length!r}")
-    return SpiralBoxSpectrum(
-        sigma=sigma,
-        omega=omega,
-        box_length=box_length,
-        mass=mass,
-        zeros=zeros,
-        energies=energies,
-    )
+    return SpiralBoxSpectrum(omega=omega, box_length=box_length, zeros=zeros, energies=energies)
 
 
 def spiral_box_normalization(spectrum: SpiralBoxSpectrum, n: int) -> float:
@@ -185,11 +189,6 @@ def pib_open_energy(n: int, box_length: float, mass: float) -> float:
     if not math.isfinite(energy):
         raise ValueError(f"the level leaves the float range at L = {box_length!r}, mass = {mass!r}")
     return energy
-
-
-def pib_closed_energy(n: int, box_length: float, mass: float) -> float:
-    """Level of the closed curve (periodic boundary): the open level 2n, 4x the open level n."""
-    return pib_open_energy(2 * n, box_length, mass)
 
 
 def transition_wavelength(lower: float, upper: float) -> float:
@@ -247,7 +246,7 @@ def _hydrogen_raw(n: int, ell: int, a0: float, r: float | np.ndarray) -> tuple:
     # past _SHIFT_MAX every value underflows: z = 0 stands in, and the value is 0
     far = ~(0.5 * z <= _SHIFT_MAX)
     z = np.where(far, 0.0, z)
-    lag, lag_exp = specfun.laguerre(n - ell - 1, 2.0 * ell + 1.0, z, scaled=True)
+    lag, lag_exp = specfun.laguerre(n - ell - 1, 2.0 * ell + 1.0, z)
     half = 0.5 * z
     shift = np.where(half > _NORMAL_EXP, np.floor(half / _LN2_HI), 0.0)
     reduced = (shift * _LN2_HI - half) + shift * _LN2_LO

@@ -22,7 +22,6 @@ __all__ = [
     "MAX_ORDER",
     "MAX_ZEROS",
     "bessel_j",
-    "bessel_j_zero",
     "bessel_j_zeros",
     "find_root",
     "laguerre",
@@ -292,19 +291,14 @@ def bessel_j_zeros(nu: float, count: int) -> tuple[float, ...]:
         fx = _bessel_miller(nu, x)
 
 
-def bessel_j_zero(nu: float, n: int) -> float:
-    """n-th positive zero j_{nu,n} of J_nu, n >= 1."""
-    return bessel_j_zeros(nu, n)[n - 1]
-
-
-def laguerre(degree: int, alpha: float, x: float | np.ndarray, scaled: bool = False):
+def laguerre(degree: int, alpha: float, x: float | np.ndarray) -> tuple:
     """Generalized Laguerre polynomial L_degree^(alpha)(x), degree >= 0, at one x
     or, in one pass of the three-term recurrence, at an array of x.
 
-    With `scaled`, returns (m, e) with L = m 2^e, e an integer array in the
-    shape of x (an int for a single x): a value past 2^500 is scaled by
-    2^-500 as the recurrence runs, degree 1 included, so m stays finite, also
-    where L overflows.  |x| or |alpha| past 2^500 is refused with ValueError.
+    Returns (m, e) with L = m 2^e, e an integer array in the shape of x (an
+    int for a single x): a value past 2^500 is scaled by 2^-500 as the
+    recurrence runs, degree 1 included, so m stays finite, also where L
+    overflows.  |x| or |alpha| past 2^500 is refused with ValueError.
     """
     if degree < 0 or not abs(alpha) <= 2.0**500:
         raise ValueError(f"Laguerre needs degree >= 0, |alpha| <= 2^500; got {degree!r}, {alpha!r}")
@@ -314,14 +308,11 @@ def laguerre(degree: int, alpha: float, x: float | np.ndarray, scaled: bool = Fa
         raise ValueError(f"Laguerre needs |x| <= 2^500, got {bad[0].item()!r}")
     exponent = np.zeros(flat.size, dtype=np.int64)
     prev, cur = np.zeros(flat.size), np.ones(flat.size)  # L_{-1} = 0 and L_0
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge x gives inf or nan
-        for k in range(degree):
-            prev, cur = cur, ((2.0 * k + 1.0 + alpha - flat) * cur - (k + alpha) * prev) / (k + 1.0)
-            big = np.abs(cur) > 2.0**500
-            if big.any():
-                cur[big] *= 2.0**-500
-                prev[big] *= 2.0**-500
-                exponent[big] += 500
-        if scaled:
-            return shaped_like(cur, x), shaped_like(exponent, x)
-        return shaped_like(np.ldexp(cur, exponent), x)
+    for k in range(degree):
+        prev, cur = cur, ((2.0 * k + 1.0 + alpha - flat) * cur - (k + alpha) * prev) / (k + 1.0)
+        big = np.abs(cur) > 2.0**500
+        if big.any():
+            cur[big] *= 2.0**-500
+            prev[big] *= 2.0**-500
+            exponent[big] += 500
+    return shaped_like(cur, x), shaped_like(exponent, x)

@@ -119,3 +119,24 @@ def frenet_loop(k, s0: float, s1: float, steps: int) -> np.ndarray:
             s_cur += ds
         pts.append((px, py))
     return np.array(pts)
+
+
+def curvature_of_samples(samples) -> np.ndarray:
+    """Finite-difference curvature |a' x a''| / |a'|^3 at the interior nodes of
+    `geometry.PlaneCurveSamples`: an independent check of a sampled curve.
+
+    Requires at least three uniformly spaced samples.
+    """
+    s = samples.s_values
+    pts = samples.points
+    if s.size < 3:
+        raise ValueError("curvature reconstruction needs at least 3 samples")
+    steps = np.diff(s)
+    h = steps[0]
+    if not np.allclose(steps, h, rtol=1e-8, atol=0.0):
+        raise ValueError("curvature reconstruction needs uniform arc-length spacing")
+    d1 = (pts[2:] - pts[:-2]) / (2.0 * h)
+    d2 = (pts[2:] - 2.0 * pts[1:-1] + pts[:-2]) / (h * h)
+    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    speed = np.linalg.norm(d1, axis=1)
+    return np.abs(cross) / speed**3

@@ -452,6 +452,27 @@ def test_oracle_literal_mode_diverges(tmp_path):
     assert grounds[-1] < 0.0
 
 
+def test_oracle_literal_mode_takes_the_geometry_induced_potential(tmp_path, monkeypatch):
+    # W = 2 V with V = -k^2/8 at k = 1/(sigma s): -1/(4 sigma^2 s^2) on every grid
+    seen = []
+    potential = quantum.geometry_induced_potential
+
+    def spy(k, mass):
+        value = potential(k, mass)
+        seen.append((np.asarray(k), value))
+        return value
+
+    monkeypatch.setattr(quantum, "geometry_induced_potential", spy)
+    argv = ["oracle", "--omega", "3", "--mode", "literal", "--grid", "100"]
+    assert main(argv + ["--output", str(tmp_path / "o.csv")]) == 0
+    assert [k.size for k, _ in seen] == [100, 200, 400]
+    sigma = 1.0 / math.sqrt(37.0)
+    for k, value in seen:
+        s = np.arange(1, k.size + 1) * (1.0 / (k.size + 1))  # the interior nodes
+        assert np.allclose(k, 1.0 / (sigma * s), rtol=1e-14, atol=0.0)
+        assert np.allclose(2.0 * value, -1.0 / (4.0 * sigma**2 * s**2), rtol=1e-14, atol=0.0)
+
+
 # --- fit and report -----------------------------------------------------------------
 
 
@@ -1052,6 +1073,46 @@ def test_level_counts_above_the_limit_exit_2_at_once(tmp_path, capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+# a command line for each size flag; `_size_flag` gives the flag and its cap
+SIZE_FLAGS = {
+    "curve": ["curve", "--sigma", "0.063", "--format", "svg"],
+    "curve-frenet": ["curve", "--sigma", "0.5", "--p", "0.75", "--format", "svg"],
+    "wavefunction": ["wavefunction", "--sigma", "0.063", "--level", "3"],
+    "hydrogen": ["hydrogen", "--n-level", "1"],
+    "oracle": ["oracle", "--omega", "3"],
+    "oracle-literal": ["oracle", "--omega", "3", "--mode", "literal"],
+}
+
+
+def _size_flag(argv):
+    return ("--grid", cli.MAX_GRID) if argv[0] == "oracle" else ("--samples", cli.MAX_SAMPLES)
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_FLAGS))
+def test_size_flags_past_their_cap_exit_2_at_once(tmp_path, capsys, name):
+    # 10^12 samples or grid points ended in numpy's _ArrayMemoryError traceback
+    argv = SIZE_FLAGS[name]
+    flag, cap = _size_flag(argv)
+    out = tmp_path / "out"
+    for value in (cap + 1, 10**12):
+        start = time.perf_counter()
+        assert main(argv + [flag, str(value), "--output", str(out)]) == 2
+        assert time.perf_counter() - start < 0.1
+        assert capsys.readouterr().err == f"error: {flag} must be at most {cap}, got {value}\n"
+        assert not out.exists()
+
+
+# a literal-mode oracle at the grid cap takes about 2.4 s; effective mode shows the
+# cap is taken in 0.6 s
+@pytest.mark.parametrize("name", ["curve", "curve-frenet", "wavefunction", "hydrogen", "oracle"])
+def test_size_flags_at_their_cap_are_accepted(tmp_path, name):
+    argv = SIZE_FLAGS[name]
+    flag, cap = _size_flag(argv)
+    out = tmp_path / "out"
+    assert main(argv + [flag, str(cap), "--output", str(out)]) == 0
+    assert out.stat().st_size > 0
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import frenet_loop
+from oracles import curvature_of_samples, frenet_loop
 from spiralbox import geometry
 from spiralbox.geometry import (
     CurvatureLaw,
     PlaneCurveSamples,
-    curvature_of_samples,
     frenet_integrate,
     hydrogen_curve,
     polyene_curve,

@@ -10,6 +10,7 @@ no package module, `geometry` and `quantum` only `specfun`, `polyene` only
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,18 @@ def test_no_package_module_imports_mpmath():
     paths = sorted(SRC.glob("*.py"))
     assert {p.stem for p in paths} >= {"fdsolver", "specfun", "quantum", "cli"}
     assert [p.name for p in paths if "mpmath" in _imported(p)] == []
+
+
+def test_the_package_exports_only_names_its_modules_list():
+    # every name `spiralbox/__init__.py` imports is in its module's __all__,
+    # and every __all__ entry of every module exists
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    imported = {}
+    for node in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+    assert set(imported) <= modules and imported
+    for name in sorted(modules):
+        module = importlib.import_module(f"spiralbox.{name}")
+        assert imported.get(name, set()) <= set(module.__all__), name
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name

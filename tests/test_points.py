@@ -11,6 +11,7 @@ import pytest
 
 from spiralbox.geometry import CurvatureLaw
 from spiralbox.quantum import (
+    geometry_induced_potential,
     hydrogen_radial_3d,
     hydrogen_wavefunction_1d,
     spiral_box_spectrum,
@@ -26,11 +27,15 @@ FUNCTIONS = {
     "bessel_j": (lambda x: bessel_j(2.7, x), lambda rng, k: rng.uniform(0.0, 30.0, k)),
     "laguerre": (lambda x: laguerre(6, 1.5, x), lambda rng, k: rng.uniform(-5.0, 40.0, k)),
     "laguerre_scaled": (
-        lambda x: laguerre(4, 0.5, x, scaled=True),
+        lambda x: laguerre(4, 0.5, x),
         lambda rng, k: rng.uniform(0.0, 40.0, k),
     ),
     "CurvatureLaw.k": (_LAW.k, lambda rng, k: rng.uniform(0.01, 9.0, k)),
     "CurvatureLaw.turning_angle": (_LAW.turning_angle, lambda rng, k: rng.uniform(0.01, 9.0, k)),
+    "geometry_induced_potential": (
+        lambda k: geometry_induced_potential(k, 0.7),
+        lambda rng, k: rng.uniform(-50.0, 50.0, k),
+    ),
     "hydrogen_wavefunction_1d": (
         lambda s: hydrogen_wavefunction_1d(3, s, 1.3),
         lambda rng, k: rng.uniform(0.01, 60.0, k),
@@ -47,7 +52,7 @@ FUNCTIONS = {
 
 
 def _parts(value):
-    # a pair of results (scaled laguerre) is checked part by part
+    # a pair of results (laguerre's mantissa and power of two) is checked part by part
     return value if isinstance(value, tuple) else (value,)
 
 

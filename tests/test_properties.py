@@ -88,13 +88,13 @@ def test_geometry_induced_potential(k, mass):
 
 @PROPERTY
 @given(n=COUNTS, length=SIGNED, mass=SIGNED)
-@example(n=1, length=2e-154, mass=1.0)  # the closed level overflowed alone
+@example(n=1, length=2e-154, mass=1.0)  # about 1.1e308, just below the largest float
+@example(n=2, length=2e-154, mass=1.0)  # 4x that, refused
 def test_particle_in_a_box_levels(n, length, mass):
-    for level, factor in ((quantum.pib_open_energy, 1), (quantum.pib_closed_energy, 4)):
-        energy = _refused_or(level, n, length, mass)
-        if energy is not None:
-            want = _exact(lambda a, m: factor * H**2 * n * n / (8 * m * a * a), length, mass)
-            assert math.isfinite(energy) and _rounds(energy, want), (level, n, length, mass)
+    energy = _refused_or(quantum.pib_open_energy, n, length, mass)
+    if energy is not None:
+        want = _exact(lambda a, m: H**2 * n * n / (8 * m * a * a), length, mass)
+        assert math.isfinite(energy) and _rounds(energy, want), (n, length, mass)
 
 
 @PROPERTY
@@ -361,15 +361,18 @@ LAGUERRE_EDGES = st.sampled_from([2.0**500, -(2.0**500), _above(2.0**500)])
 @PROPERTY
 @given(degree=st.one_of(st.integers(0, 40), st.sampled_from([-1, 200])),
        alpha=st.one_of(SIGNED, LAGUERRE_EDGES), x=st.one_of(SIGNED, LAGUERRE_EDGES))
-@example(degree=10, alpha=0.0, x=1e200)  # both forms gave nan
+@example(degree=10, alpha=0.0, x=1e200)  # gave nan
 def test_laguerre_is_the_ldexp_of_its_scaled_form(degree, alpha, x):
-    scaled = _refused_or(lambda: specfun.laguerre(degree, alpha, x, scaled=True))
-    plain = _refused_or(specfun.laguerre, degree, alpha, x)
-    assert (scaled is None) == (plain is None)
+    scaled = _refused_or(specfun.laguerre, degree, alpha, x)
     if scaled is not None:
         m, e = scaled
         assert math.isfinite(m), (degree, alpha, x)
-        with np.errstate(over="ignore"):  # where L itself overflows
+        # the same recurrence in Python floats, never scaled: where it stays
+        # finite, the powers of two of the scaled one leave every bit as it is
+        prev, plain = 0.0, 1.0
+        for k in range(degree):
+            prev, plain = plain, ((2.0 * k + 1.0 + alpha - x) * plain - (k + alpha) * prev) / (k + 1.0)
+        if math.isfinite(plain):
             assert plain == np.ldexp(m, e), (degree, alpha, x)
 
 

@@ -18,7 +18,6 @@ from spiralbox.quantum import (
     hydrogen_wavefunction_1d,
     nm_to_bohr,
     omega_from_sigma,
-    pib_closed_energy,
     pib_open_energy,
     spiral_box_normalization,
     spiral_box_spectrum,
@@ -68,6 +67,11 @@ def test_gip_is_never_positive():
 def test_gip_mass_validation():
     with pytest.raises(ValueError):
         geometry_induced_potential(1.0, 0.0)
+
+
+def test_gip_of_an_array_names_the_first_k_that_overflows():
+    with pytest.raises(ValueError, match=r"overflows at k = 1e\+200, mass = 1.0$"):
+        geometry_induced_potential(np.array([[1.0, 1e200], [-1e300, 2.0]]), 1.0)
 
 
 # --- omega -------------------------------------------------------------------
@@ -244,16 +248,20 @@ def test_pib_quadratic_scaling():
     )
 
 
+# The closed curve of length L (periodic boundary) has level n at the open
+# box's level 2n, exactly 4x the open level n.
+
+
 def test_pib_closed_is_exactly_four_times_open():
     for n, length, mass in ((1, 1.0, 1.0), (3, 2.5, 0.4), (7, 11.0, 2.0)):
-        assert pib_closed_energy(n, length, mass) == 4.0 * pib_open_energy(n, length, mass)
+        assert pib_open_energy(2 * n, length, mass) == 4.0 * pib_open_energy(n, length, mass)
 
 
 def test_pib_closed_energy_refuses_its_own_overflow():
-    # the open level, about 1.1e308, is finite; 4x it returned inf
+    # the open level 1, about 1.1e308, is finite; 4x it, level 2, returned inf
     assert math.isfinite(pib_open_energy(1, 2e-154, 1.0))
     with pytest.raises(ValueError, match="leaves the float range at L = 2e-154"):
-        pib_closed_energy(1, 2e-154, 1.0)
+        pib_open_energy(2, 2e-154, 1.0)
 
 
 def test_pib_matches_angular_frequency_form():
@@ -340,7 +348,7 @@ def test_hydrogen_1d_normalization_matches_closed_form():
         s = 0.7 * n * a0
         z = 2.0 * s / (n * a0)
         return hydrogen_wavefunction_1d(n, s, a0) / (
-            math.exp(-0.5 * z) * z * specfun.laguerre(n - 1, 1.0, z)
+            math.exp(-0.5 * z) * z * math.ldexp(*specfun.laguerre(n - 1, 1.0, z))
         )
 
     for n in (1, 2, 3, 4):
