@@ -7,9 +7,9 @@ CSV/JSON/SVG (numbers at 10 significant digits, no timestamps).
 The argument parser is built once per process, on the first call of `main`,
 and reused by every later call.
 
-Exit codes: 0 success, 2 invalid flags (every float flag must be finite, and
-so must every number written; a size flag past its cap is refused at once),
-3 write failure, 4 fit failure.
+Exit codes: 0 success, 2 invalid flags (each checked in `main` against its
+row of `_FLAG_RANGES` before any command runs, and every number written
+must be finite), 3 write failure, 4 fit failure.
 """
 
 from __future__ import annotations
@@ -31,12 +31,29 @@ __all__ = ["main", "build_parser"]
 
 # Size caps, refused at once with exit 2.  At the other flags' defaults a
 # command at its cap takes about 2 s (Python 3.11, 2 vCPUs): 1.7 s for a
-# curve CSV and 2.3 s for wavefunction or hydrogen at 10^6 samples, and
-# 2.4 s for a literal-mode oracle, which solves 2x and 4x the grid too, at
-# --grid 160 000 (effective mode: 0.6 s).
+# curve CSV and 2.3 s for wavefunction or hydrogen at 10^6 samples, 2.4 s
+# for a literal-mode oracle, which solves 2x and 4x the grid too, at --grid
+# 160 000 (effective mode: 0.6 s), and 0.35 s for hydrogen at --n-level
+# 10 000.  The cost grows with products of sizes too, so --n-level x
+# --samples is capped (1.7 s at 10 000 x 10 000) and so is effective-mode
+# --levels x --grid (1.4-2.3 s at 150 x 3200).
 MAX_SAMPLES = 1_000_000
 MAX_GRID = 160_000
-_SIZE_CAPS = {"samples": MAX_SAMPLES, "grid": MAX_GRID}
+MAX_N_LEVEL = 10_000
+MAX_LEVEL_SAMPLES = 100_000_000
+MAX_LEVEL_GRID = 3 * MAX_GRID
+
+# [low, high] of each flag on its own; _POSITIVE starts at the least float above 0
+_POSITIVE = (math.ulp(0.0), math.inf)
+_FLAG_RANGES = {
+    **dict.fromkeys(("sigma", "length", "mass", "a0", "tol", "s_min", "s_max"), _POSITIVE),
+    "omega": (0.0, math.inf),
+    "samples": (2, MAX_SAMPLES),
+    "grid": (10, MAX_GRID),
+    "n_level": (1, MAX_N_LEVEL),
+    "level": (1, quantum.MAX_LEVELS),
+    "levels": (0, quantum.MAX_LEVELS),
+}
 
 
 def _num(v: float) -> str:
@@ -94,10 +111,8 @@ def _table(header: str, columns: list, comments: list[str]) -> str:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    if not (0.0 < args.s_min < args.s_max):
-        return _fail("need 0 < --s-min < --s-max", 2)
-    if args.samples < 2:
-        return _fail("--samples must be at least 2", 2)
+    if not args.s_min < args.s_max:
+        return _fail("need --s-min < --s-max", 2)
     sigma, p = args.sigma, args.p
     law = geometry.CurvatureLaw(sigma, p)
     if p in (0.5, 1.0):
@@ -129,8 +144,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    if args.sigma <= 0 or args.length <= 0 or args.mass <= 0 or args.levels < 0:
-        return _fail("--sigma, --length, --mass must be positive; --levels >= 0", 2)
     omega = quantum.omega_from_sigma(args.sigma)
     zeros: tuple[float, ...] = ()
     energies: tuple[float, ...] = ()
@@ -173,11 +186,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
-    if args.sigma <= 0 or args.length <= 0 or args.mass <= 0 or args.level < 1:
-        return _fail("--sigma, --length, --mass must be positive; --level >= 1", 2)
-    if args.samples < 2:
-        return _fail("--samples must be at least 2", 2)
-    spec = quantum.spiral_box_spectrum(args.sigma, args.length, args.mass, args.level)
+    # the eigenfunctions do not depend on the mass
+    spec = quantum.spiral_box_spectrum(args.sigma, args.length, 1.0, args.level)
     s_vals = np.linspace(0.0, args.length, args.samples)
     psi = quantum.spiral_box_wavefunction(spec, args.level, s_vals)
     _write(
@@ -199,12 +209,8 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.omega < 0 or args.length <= 0 or args.levels < 1 or args.grid < 10:
-        return _fail("need --omega >= 0, --length > 0, --levels >= 1, --grid >= 10", 2)
-    if args.levels > quantum.MAX_LEVELS:
-        return _fail(
-            f"--levels {args.levels}: at most {quantum.MAX_LEVELS} levels are computed", 2
-        )
+    if args.levels < 1:
+        return _fail("--levels must be at least 1", 2)
     omega, length = args.omega, args.length
     if args.mode == "effective":
         needed = fdsolver.PILOT_RATIO * args.levels
@@ -214,6 +220,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 f"({fdsolver.PILOT_RATIO} points a level), got --grid {args.grid}",
                 2,
             )
+        if args.levels * args.grid > MAX_LEVEL_GRID:
+            got = f"got {args.levels} * {args.grid}"
+            return _fail(f"--levels * --grid must be at most {MAX_LEVEL_GRID}, {got}", 2)
         coeff = omega * omega - 0.25
         refined = fdsolver.richardson_refine(
             lambda s: coeff / (s * s), length, args.levels, args.grid
@@ -297,8 +306,6 @@ def _emit_fit_table(
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    if not (args.mass > 0.0 and args.tol > 0.0):
-        return _fail("--mass and --tol must be positive", 2)
     mols = polyene.load_molecules(args.molecules)
     for mol in mols:
         # a request beyond the level cap is refused at once, not left out as a row
@@ -354,25 +361,14 @@ def cmd_report(args: argparse.Namespace) -> int:
 # --- hydrogen ---------------------------------------------------------------
 
 
-# The Laguerre recurrence runs n steps over the grid; at the default 400
-# samples --n-level 10000 takes about 0.35 s (Python 3.11, 2 vCPUs).
-MAX_N_LEVEL = 10_000
-
-
 def cmd_hydrogen(args: argparse.Namespace) -> int:
-    n = args.n_level
-    if not 1 <= n <= MAX_N_LEVEL:
-        return _fail(f"--n-level must be at least 1 and at most {MAX_N_LEVEL}, got {n}", 2)
-    if args.samples < 2:
-        return _fail("--samples must be at least 2", 2)
-    a0 = args.a0
-    if a0 <= 0.0:
-        return _fail(f"--a0 must be positive, got {a0!r}", 2)
+    n, a0 = args.n_level, args.a0
+    if n * args.samples > MAX_LEVEL_SAMPLES:
+        got = f"got {n} * {args.samples}"
+        return _fail(f"--n-level * --samples must be at most {MAX_LEVEL_SAMPLES}, {got}", 2)
     s_max = args.s_max if args.s_max is not None else 4.0 * n * n * a0
-    if args.s_max is None and math.isinf(s_max):
+    if math.isinf(s_max):
         return _fail(f"--n-level {n} and --a0 {a0!r}: the default --s-max 4 n^2 a0 overflows", 2)
-    if not (math.isfinite(s_max) and s_max > 0.0):
-        return _fail(f"--s-max must be finite and positive, got {s_max!r}", 2)
     s_vals = np.linspace(s_max / args.samples, s_max, args.samples)
     psi = quantum.hydrogen_wavefunction_1d(n, s_vals, a0)
     density = quantum.hydrogen_radial_density(n, 0, s_vals, a0)
@@ -398,8 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spiral-curve quantum spectra, curve galleries, and polyene fits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", required=True)
+    fits = argparse.ArgumentParser(add_help=False, parents=[output])
+    fits.add_argument("--molecules", required=True, help="molecule JSON file")
+    fits.add_argument("--mass", type=float, default=1.0)
+    fits.add_argument("--effective-mass", action="store_true")
+    fits.add_argument("--svg", default=None)
+    command = functools.partial(sub.add_parser, parents=[output])
 
-    p = sub.add_parser("curve", help="sample a power-law-curvature spiral to CSV or SVG")
+    p = command("curve", help="sample a power-law-curvature spiral to CSV or SVG")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--p", type=float, default=1.0, help="curvature exponent (default 1)")
     p.add_argument("--s-min", type=float, default=0.05)
@@ -407,54 +411,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--spacing", choices=("log", "linear"), default="log")
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("spectrum", help="spiral-box energy levels (atomic units)")
+    p = command("spectrum", help="spiral-box energy levels (atomic units)")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--length", type=float, default=1.0, help="box length in bohr")
     p.add_argument("--mass", type=float, default=1.0, help="mass in electron masses")
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("wavefunction", help="normalized spiral-box eigenfunction dump")
+    p = command("wavefunction", help="normalized spiral-box eigenfunction dump")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--length", type=float, default=1.0)
-    p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("oracle", help="finite-difference check of the Bessel spectrum")
+    p = command("oracle", help="finite-difference check of the Bessel spectrum")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--length", type=float, default=1.0)
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--grid", type=int, default=4000, help="coarse interior grid points")
     p.add_argument("--mode", choices=("effective", "literal"), default="effective")
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("fit", help="fit sigma per molecule from measured wavelengths")
-    p.add_argument("--molecules", required=True, help="molecule JSON file")
-    p.add_argument("--mass", type=float, default=1.0)
+    p = command("fit", parents=[fits], help="fit sigma per molecule from measured wavelengths")
     p.add_argument("--tol", type=float, default=1e-6, help="wavelength tolerance in nm")
-    p.add_argument("--effective-mass", action="store_true")
-    p.add_argument("--svg", default=None)
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("report", help="calculated vs experimental table at fixed sigmas")
-    p.add_argument("--molecules", required=True)
+    p = command("report", parents=[fits], help="calculated vs experimental table at fixed sigmas")
     p.add_argument("--sigmas", required=True, help="comma-separated, one per molecule")
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--effective-mass", action="store_true")
-    p.add_argument("--svg", default=None)
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("hydrogen", help="1D bound state vs 3D radial density columns")
+    p = command("hydrogen", help="1D bound state vs 3D radial density columns")
     p.add_argument("--n-level", type=int, required=True)
     p.add_argument("--a0", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--s-max", type=float, default=None)
-    p.add_argument("--output", required=True)
 
     return parser
 
@@ -490,10 +478,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     for name, value in vars(args).items():
+        flag = f"--{name.replace('_', '-')}"
         if isinstance(value, float) and not math.isfinite(value):
-            return _fail(f"--{name.replace('_', '-')} must be finite, got {value!r}", 2)
-        if name in _SIZE_CAPS and value > _SIZE_CAPS[name]:
-            return _fail(f"--{name} must be at most {_SIZE_CAPS[name]}, got {value}", 2)
+            return _fail(f"{flag} must be finite, got {value!r}", 2)
+        rule = _FLAG_RANGES.get(name)
+        if rule is None or value is None:
+            continue
+        if value > rule[1]:
+            return _fail(f"{flag} must be at most {rule[1]}, got {value}", 2)
+        if value < rule[0]:
+            why = f"positive, got {value!r}" if rule is _POSITIVE else f"at least {rule[0]}"
+            return _fail(f"{flag} must be {why}", 2)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except OSError as exc:

@@ -194,17 +194,18 @@ def fit_sigma(mol: Molecule, mass: float = 1.0, tol: float = 1e-6) -> FitResult:
 def fit_effective_mass(mol: Molecule) -> float:
     """Mass (units of m_e) making the straight-box HOMO->LUMO step match lambda_exp.
 
-    Closed form from inverting Delta_E = h^2 (2n+1) / (8 m L^2) = hc/lambda.
+    The wavelength grows in proportion to m: the mass is lambda_exp over the
+    wavelength at m = 1, whose step is 2n + 1 ground levels (the difference of
+    levels n + 1 and n would lose about n ulps).
     """
     if mol.lambda_exp is None:
         raise ValueError(f"{mol.name}: cannot fit an effective mass without lambda_exp")
-    n = homo_index(mol)
     length = quantum.nm_to_bohr(mol.box_length)
-    delta_e = (quantum.HC_EV_NM / mol.lambda_exp) / quantum.HARTREE_EV
-    h = 2.0 * math.pi
-    scale = 8.0 * length * length * delta_e
-    # a scale past the float range would make the mass 0
-    mass = h * h * (2 * n + 1) / scale if 0.0 < scale < math.inf else math.inf
+    try:
+        gap = (2 * homo_index(mol) + 1) * quantum.pib_open_energy(1, length, 1.0)
+        mass = mol.lambda_exp / quantum.transition_wavelength(0.0, gap)
+    except ValueError:  # a level or the wavelength leaves the float range
+        mass = math.inf
     if not math.isfinite(mass):
         raise ValueError(f"{mol.name}: the effective mass is out of range at {mol.box_length!r} nm")
     return mass

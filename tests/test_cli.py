@@ -1115,6 +1115,94 @@ def test_size_flags_at_their_cap_are_accepted(tmp_path, name):
     assert out.stat().st_size > 0
 
 
+# one command line per command, with every flag it requires
+BASE_ARGV = {
+    "curve": ["curve", "--sigma", "1"],
+    "spectrum": ["spectrum", "--sigma", "0.05"],
+    "wavefunction": ["wavefunction", "--sigma", "0.05", "--level", "1"],
+    "oracle": ["oracle", "--omega", "3"],
+    "fit": ["fit", "--molecules", str(DATA_DIR / "polyenes_roundtrip.json")],
+    "report": ["report", "--molecules", str(DATA_DIR / "polyenes_roundtrip.json"),
+               "--sigmas", "0.05,0.05,0.05,0.05"],
+    "hydrogen": ["hydrogen", "--n-level", "1"],
+}
+
+
+def _past_each_bound():
+    # every flag of the range table that a command takes, just below its low
+    # end and just above a finite high end
+    parser = cli.build_parser()
+    for command, argv in BASE_ARGV.items():
+        names = vars(parser.parse_args(argv + ["--output", "x"]))
+        for name, (low, high) in cli._FLAG_RANGES.items():
+            if name not in names:
+                continue
+            past = [low - 1] if isinstance(low, int) else [math.nextafter(low, -math.inf)]
+            past += [high + 1] if high < math.inf else []
+            for value in past:
+                yield pytest.param(command, f"--{name.replace('_', '-')}", value,
+                                   id=f"{command}-{name}-{value!r}")
+
+
+@pytest.mark.parametrize("command, flag, value", list(_past_each_bound()))
+def test_a_flag_past_its_range_exits_2_in_main_naming_it(tmp_path, capsys, monkeypatch,
+                                                         command, flag, value):
+    # the command itself never runs: main refuses the flag first
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: pytest.fail("the command ran"))
+    out = tmp_path / "out"
+    assert main(BASE_ARGV[command] + [flag, repr(value), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} must be "), err
+    assert not out.exists()
+
+
+def test_wavefunction_has_no_mass_flag(tmp_path, capsys):
+    # the eigenfunctions do not depend on the mass: --mass changed no byte, yet
+    # --mass 1e-320 exited 2 over energies the command never writes
+    out = tmp_path / "psi.csv"
+    with pytest.raises(SystemExit) as err:
+        main(BASE_ARGV["wavefunction"] + ["--mass", "2", "--output", str(out)])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --mass 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flags, cap",
+    [
+        (["hydrogen", "--n-level", "10000", "--samples"], "--n-level * --samples",
+         cli.MAX_LEVEL_SAMPLES),
+        (["oracle", "--omega", "25", "--levels", "30", "--grid"], "--levels * --grid",
+         cli.MAX_LEVEL_GRID),
+    ],
+    ids=["hydrogen", "oracle"],
+)
+def test_a_product_of_sizes_past_its_cap_exits_2_at_once(tmp_path, capsys, argv, flags, cap):
+    # hydrogen --n-level 10000 --samples 100000 took 14 s, and oracle --omega 25
+    # --levels 150 --grid 160000 35 s, though each flag was within its own cap
+    out = tmp_path / "out.csv"
+    size = cap // int(argv[-2])
+    assert main(argv + [str(size), "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == (size if argv[0] == "hydrogen" else 30)
+    out.unlink()
+    start = time.perf_counter()
+    assert main(argv + [str(size + 1), "--output", str(out)]) == 2
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert err == f"error: {flags} must be at most {cap}, got {argv[-2]} * {size + 1}\n"
+    assert not out.exists()
+
+
+def test_literal_mode_oracle_ignores_the_levels_grid_cap(tmp_path):
+    # literal mode solves one level whatever --levels says
+    out = tmp_path / "oracle.csv"
+    argv = ["oracle", "--omega", "25", "--mode", "literal", "--levels", "150"]
+    assert main(argv + ["--grid", str(cli.MAX_GRID), "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 3
+
+
 @pytest.mark.parametrize(
     "argv", [["--grid", "2400"], ["--grid", "10", "--mode", "literal"]], ids=["effective", "literal"]
 )
@@ -1244,8 +1332,7 @@ _COMMANDS = st.one_of(
         format=st.sampled_from(["csv", "json"]),
     ).map(lambda f: ["spectrum"] + f),
     _flags(
-        sigma=_FLOAT, length=_FLOAT, mass=_FLOAT, level=st.integers(1, 2),
-        samples=st.integers(2, 5),
+        sigma=_FLOAT, length=_FLOAT, level=st.integers(1, 2), samples=st.integers(2, 5),
     ).map(lambda f: ["wavefunction"] + f),
     _flags(
         sigma=_FLOAT, p=st.one_of(st.sampled_from([0.5, 1]), _FRENET_P),
