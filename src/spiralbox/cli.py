@@ -34,13 +34,15 @@ __all__ = ["main", "build_parser"]
 # curve CSV and 2.3 s for wavefunction or hydrogen at 10^6 samples, 2.4 s
 # for a literal-mode oracle, which solves 2x and 4x the grid too, at --grid
 # 160 000 (effective mode: 0.6 s), and 0.35 s for hydrogen at --n-level
-# 10 000.  The cost grows with products of sizes too, so --n-level x
-# --samples is capped (1.7 s at 10 000 x 10 000) and so is effective-mode
-# --levels x --grid (1.4-2.3 s at 150 x 3200).
+# 10 000.  The cost grows with products of sizes too, so effective-mode
+# --levels x --grid is capped (1.4-2.3 s at 150 x 3200), and so is hydrogen's
+# (--n-level + HYDROGEN_ROW_STEPS) x --samples: a table row costs about as
+# much as 100 Laguerre steps, and every corner of that cap takes 1.0-2.5 s.
 MAX_SAMPLES = 1_000_000
 MAX_GRID = 160_000
 MAX_N_LEVEL = 10_000
-MAX_LEVEL_SAMPLES = 100_000_000
+HYDROGEN_ROW_STEPS = 100
+MAX_LEVEL_SAMPLES = (1 + HYDROGEN_ROW_STEPS) * MAX_SAMPLES
 MAX_LEVEL_GRID = 3 * MAX_GRID
 
 # [low, high] of each flag on its own; _POSITIVE starts at the least float above 0
@@ -363,9 +365,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_hydrogen(args: argparse.Namespace) -> int:
     n, a0 = args.n_level, args.a0
-    if n * args.samples > MAX_LEVEL_SAMPLES:
-        got = f"got {n} * {args.samples}"
-        return _fail(f"--n-level * --samples must be at most {MAX_LEVEL_SAMPLES}, {got}", 2)
+    if (n + HYDROGEN_ROW_STEPS) * args.samples > MAX_LEVEL_SAMPLES:
+        got = f"got ({n} + {HYDROGEN_ROW_STEPS}) * {args.samples}"
+        cost = f"(--n-level + {HYDROGEN_ROW_STEPS}) * --samples"
+        return _fail(f"{cost} must be at most {MAX_LEVEL_SAMPLES}, {got}", 2)
     s_max = args.s_max if args.s_max is not None else 4.0 * n * n * a0
     if math.isinf(s_max):
         return _fail(f"--n-level {n} and --a0 {a0!r}: the default --s-max 4 n^2 a0 overflows", 2)

@@ -18,8 +18,9 @@ __all__ = ["curve_svg", "report_bar_chart"]
 MAX_PATH_POINTS = 5000
 CURVE_SIZE, CURVE_MARGIN = 600, 30.0  # a square plot
 CHART_WIDTH, CHART_HEIGHT = 640, 360
-# the characters XML 1.0 cannot carry, escaped or not
-_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# the characters XML 1.0 cannot carry, escaped or not: the complement of its
+# Char production (a class of what is left compiles about 10x faster)
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 # '"' would end an attribute value, and a raw '\r' would read back as '\n'
 _ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;"})
 

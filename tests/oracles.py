@@ -14,7 +14,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from spiralbox import fdsolver
+from spiralbox import fdsolver, specfun
 
 
 def mp_bessel_j(nu, x, extra_dps: int = 30):
@@ -84,6 +84,49 @@ def bessel_zero_count(nu: float, x: float) -> int:
     beta = 0.5 / np.sqrt((nu + m) * (nu + m + 1.0))
     op = fdsolver.TridiagonalOperator(np.zeros(rows), beta, grid_step=1.0)
     return fdsolver.sturm_count(op, -1.0 / x)
+
+
+def bessel_miller_loop(nu: float, x: float) -> float:
+    """J_nu(x) by the scalar backward recurrence as one loop over every index.
+
+    A frozen copy of `specfun._bessel_miller` before its loop was split by
+    normalization and taken in pairs: each index tests its parity, its
+    normalization, the target order and the last step, and the rescale calls
+    `abs`.  It takes the order parts and the start index from `specfun`, so
+    the two differ only in the loop, whose results must agree bit for bit.
+    """
+    n_tgt, f = specfun._order_parts(nu)
+    fjp1 = 0.0
+    fj = 1e-30
+    norm = 0.0
+    tgt = 0.0
+    coeff = 1.0
+    inv_x = 1.0 / x
+    j = specfun._miller_start(x, nu)
+    while j >= 0:
+        if (j & 1) == 0:
+            k = j >> 1
+            if f > 0.0:
+                norm += coeff * fj
+                if k >= 1:
+                    coeff *= ((f + 2.0 * k - 2.0) * k) / ((f + 2.0 * k) * (f + k - 1.0))
+            else:
+                norm += (2.0 if k >= 1 else 1.0) * fj
+        if j == n_tgt:
+            tgt = fj
+        if j > 0:
+            fjm1 = (2.0 * (f + j) * inv_x) * fj - fjp1
+            fjp1 = fj
+            fj = fjm1
+            if abs(fj) > 1e250:
+                fj *= 1e-250
+                fjp1 *= 1e-250
+                norm *= 1e-250
+                tgt *= 1e-250
+        j -= 1
+    if f > 0.0:
+        return tgt * (0.5 * x) ** f * coeff / (math.gamma(f + 1.0) * norm)
+    return tgt / norm
 
 
 def frenet_loop(k, s0: float, s1: float, steps: int) -> np.ndarray:

@@ -1167,21 +1167,24 @@ def test_wavefunction_has_no_mass_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+ROW_STEPS = cli.HYDROGEN_ROW_STEPS
+
+
 @pytest.mark.parametrize(
-    "argv, flags, cap",
+    "argv, flags, factor, cap",
     [
-        (["hydrogen", "--n-level", "10000", "--samples"], "--n-level * --samples",
-         cli.MAX_LEVEL_SAMPLES),
+        (["hydrogen", "--n-level", "10000", "--samples"], f"(--n-level + {ROW_STEPS}) * --samples",
+         (10_000 + ROW_STEPS, f"(10000 + {ROW_STEPS})"), cli.MAX_LEVEL_SAMPLES),
         (["oracle", "--omega", "25", "--levels", "30", "--grid"], "--levels * --grid",
-         cli.MAX_LEVEL_GRID),
+         (30, "30"), cli.MAX_LEVEL_GRID),
     ],
     ids=["hydrogen", "oracle"],
 )
-def test_a_product_of_sizes_past_its_cap_exits_2_at_once(tmp_path, capsys, argv, flags, cap):
+def test_a_product_of_sizes_past_its_cap_exits_2_at_once(tmp_path, capsys, argv, flags, factor, cap):
     # hydrogen --n-level 10000 --samples 100000 took 14 s, and oracle --omega 25
     # --levels 150 --grid 160000 35 s, though each flag was within its own cap
     out = tmp_path / "out.csv"
-    size = cap // int(argv[-2])
+    size = cap // factor[0]
     assert main(argv + [str(size), "--output", str(out)]) == 0
     _, rows = read_csv(out)
     assert len(rows) == (size if argv[0] == "hydrogen" else 30)
@@ -1190,7 +1193,25 @@ def test_a_product_of_sizes_past_its_cap_exits_2_at_once(tmp_path, capsys, argv,
     assert main(argv + [str(size + 1), "--output", str(out)]) == 2
     assert time.perf_counter() - start < 0.1
     err = capsys.readouterr().err
-    assert err == f"error: {flags} must be at most {cap}, got {argv[-2]} * {size + 1}\n"
+    assert err == f"error: {flags} must be at most {cap}, got {factor[1]} * {size + 1}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_level, samples", [(2, 1_000_000), (100, 1_000_000), (910, 100_001)])
+def test_hydrogen_one_past_its_row_weighted_cap_exits_2_at_once(tmp_path, capsys, n_level, samples):
+    # --n-level 100 --samples 1000000 was within the plain product cap of 10^8
+    # and took 4.2-6.0 s, the 10^6-row table alone 2.2-3.5 s: a row costs about
+    # as much as HYDROGEN_ROW_STEPS Laguerre steps.  One level at the samples
+    # cap and --n-level 910 --samples 100000 lie on the cap (the first runs in
+    # test_size_flags_at_their_cap_are_accepted); one level or sample more is refused
+    out = tmp_path / "out.csv"
+    argv = ["hydrogen", "--n-level", str(n_level), "--samples", str(samples), "--output", str(out)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.1
+    got = f"got ({n_level} + {ROW_STEPS}) * {samples}"
+    flags = f"(--n-level + {ROW_STEPS}) * --samples"
+    assert capsys.readouterr().err == f"error: {flags} must be at most {cli.MAX_LEVEL_SAMPLES}, {got}\n"
     assert not out.exists()
 
 

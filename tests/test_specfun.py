@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import bessel_zero_count, mp_bessel_j
+from oracles import bessel_miller_loop, bessel_zero_count, mp_bessel_j
 from spiralbox import specfun
 from spiralbox.specfun import (
     MAX_ZEROS,
@@ -305,6 +305,45 @@ def test_bessel_of_an_array_equals_the_scalar_path_bit_for_bit(nu, x):
     got = bessel_j(nu, x)
     assert isinstance(got, np.ndarray) and got.shape == x.shape
     assert _bits(got) == _bits([bessel_j(nu, float(v)) for v in x])
+
+
+def _miller_cases(rng):
+    # (nu, x) for the scalar recurrence, each group seeded; the steps cost about
+    # max(nu, x) each, so the large orders and arguments are the fewest
+    def log_uniform(lo, hi, size):
+        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size)
+
+    def near_and_far(nu):  # x log-uniform below 1, or uniform up to past the turning point
+        far = rng.uniform(1e-8, 1.5 * nu + 40.0)
+        return np.where(rng.random(nu.size) < 0.3, log_uniform(1e-8, 1.0, nu.size), far)
+
+    integer = rng.integers(0, 61, 16_000).astype(float)
+    fraction = rng.uniform(0.0, 60.0, 16_000)
+    below_one = rng.uniform(0.0, 1.0, 7_000)  # n_tgt = 0, the target is j = 0 itself
+    # below double resolution of 1 the fraction is dropped; 1.2e-16 and up keep it
+    unresolved = np.concatenate([rng.uniform(0.0, 1.1e-16, 1_500), rng.uniform(1.2e-16, 1e-15, 500)])
+    groups = [(nu, near_and_far(nu)) for nu in (integer, fraction, below_one, unresolved)]
+    # x near 1e-8: every step multiplies by about 2j/x, so the recurrence
+    # passes 1e250 and rescales many times, and at the larger orders J underflows
+    for nu in (rng.uniform(0.0, 60.0, 8_000), log_uniform(1.0, 1e4, 1_000)):
+        groups.append((nu, log_uniform(1e-8, 1e-6, nu.size)))
+    corners = np.array([[1e4, 2e4], [0.0, 2e4], [9999.5, 2e4], [1e4, 1e-8], [0.5, 1e-8]])
+    large = rng.uniform([0.0, 0.0], [1e4, 2e4], (60, 2))
+    groups.append(tuple(np.concatenate([corners, large]).T))
+    return [(float(n), float(v)) for nu, x in groups for n, v in zip(nu, x)]
+
+
+def test_the_paired_miller_loop_equals_the_one_index_loop_bit_for_bit():
+    # specfun._bessel_miller takes the steps in pairs, one loop per
+    # normalization; oracles.bessel_miller_loop is that function as it was,
+    # one test of parity, normalization, target and last step per index
+    cases = _miller_cases(np.random.default_rng(20261020))
+    assert len(cases) >= 50_000
+    starts = [specfun._miller_start(x, nu) & 1 for nu, x in cases]
+    assert min(starts.count(0), starts.count(1)) > 20_000  # even and odd starts
+    assert sum(nu < 1.0 for nu, _ in cases) > 9_000  # n_tgt = 0
+    got = [specfun._bessel_miller(nu, x) for nu, x in cases]
+    assert _bits(got) == _bits([bessel_miller_loop(nu, x) for nu, x in cases])
 
 
 def test_bessel_of_an_array_keeps_shape_and_checks_every_point():
