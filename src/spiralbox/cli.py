@@ -31,18 +31,25 @@ __all__ = ["main", "build_parser"]
 
 # Size caps, refused at once with exit 2.  At the other flags' defaults a
 # command at its cap takes about 2 s (Python 3.11, 2 vCPUs): 1.7 s for a
-# curve CSV and 2.3 s for wavefunction or hydrogen at 10^6 samples, 2.4 s
+# curve CSV and 2.3 s for wavefunction or hydrogen at 10^6 samples, 1.1-1.8 s
 # for a literal-mode oracle, which solves 2x and 4x the grid too, at --grid
-# 160 000 (effective mode: 0.6 s), and 0.35 s for hydrogen at --n-level
+# 160 000 (effective mode: 0.3 s), and 0.35 s for hydrogen at --n-level
 # 10 000.  The cost grows with products of sizes too, so effective-mode
-# --levels x --grid is capped (1.4-2.3 s at 150 x 3200), and so is hydrogen's
+# --levels x --grid is capped (1.2-1.7 s at 150 x 3200), and so is hydrogen's
 # (--n-level + HYDROGEN_ROW_STEPS) x --samples: a table row costs about as
 # much as 100 Laguerre steps, and every corner of that cap takes 1.0-2.5 s.
+# A wavefunction sample costs the Bessel recurrence from its start order down,
+# at most specfun._miller_start(j_n, omega) steps, and its row about as much as
+# 150 of them: (start + WAVEFUNCTION_ROW_STEPS) x --samples is capped, at 10^6
+# samples up to a start of 100 (--sigma 0.063 --level 3 starts at 74), and
+# every corner of that cap takes 1.0-2.3 s.
 MAX_SAMPLES = 1_000_000
 MAX_GRID = 160_000
 MAX_N_LEVEL = 10_000
 HYDROGEN_ROW_STEPS = 100
 MAX_LEVEL_SAMPLES = (1 + HYDROGEN_ROW_STEPS) * MAX_SAMPLES
+WAVEFUNCTION_ROW_STEPS = 150
+MAX_RECURRENCE_SAMPLES = (100 + WAVEFUNCTION_ROW_STEPS) * MAX_SAMPLES
 MAX_LEVEL_GRID = 3 * MAX_GRID
 
 # [low, high] of each flag on its own; _POSITIVE starts at the least float above 0
@@ -190,6 +197,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_wavefunction(args: argparse.Namespace) -> int:
     # the eigenfunctions do not depend on the mass
     spec = quantum.spiral_box_spectrum(args.sigma, args.length, 1.0, args.level)
+    start = specfun._miller_start(spec.zero(args.level), spec.omega)
+    if (start + WAVEFUNCTION_ROW_STEPS) * args.samples > MAX_RECURRENCE_SAMPLES:
+        got = f"got ({start} + {WAVEFUNCTION_ROW_STEPS}) * {args.samples}"
+        cost = f"(recurrence start + {WAVEFUNCTION_ROW_STEPS}) * --samples"
+        why = f"--sigma {args.sigma!r} --level {args.level} start it at order {start}"
+        return _fail(f"{cost} must be at most {MAX_RECURRENCE_SAMPLES}, {got}: {why}", 2)
     s_vals = np.linspace(0.0, args.length, args.samples)
     psi = quantum.spiral_box_wavefunction(spec, args.level, s_vals)
     _write(

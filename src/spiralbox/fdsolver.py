@@ -1,15 +1,16 @@
 """Independent eigenvalue oracle for -psi'' + W(s) psi = eps psi on [0, L].
 
 Symmetric three-point discretization with Dirichlet ends plus an
-eigensolver that takes Laguerre steps on the LDL^T sweep, each kept inside
-a bracket proved by Sturm counts.  Every level is closed by counts on its
-own operator, to max(2e-10 relative, 2 eps ||T||), the rounding floor of the
-pivots, and never below pivmin, the pivots' clamp away from zero:
-1e-290 max(1, max off^2), or with no coupled row the smallest normal float,
-2.2e-308.  A start (an earlier grid's eigenvalue) only moves the first sweep,
-so it changes the cost of a solve and never what certifies it.  Richardson
-refinement solves a grid and its double, starting the grid from a pilot
-1/16 as fine and the double from the grid; the pilot must hold a node a level.
+eigensolver that takes Laguerre steps on the LDL^T sweep from the lower
+Gershgorin bound, or Newton steps on a pass that carries only the Sturm count
+and G from a start (an earlier grid's eigenvalue), each kept inside a bracket
+proved by Sturm counts.  Every level is closed by counts on its own operator,
+to max(2e-10 relative, 2 eps ||T||), the rounding floor of the pivots, and
+never below pivmin, the pivots' clamp away from zero: 1e-290 max(1, max off^2),
+or with no coupled row the smallest normal float, 2.2e-308.  A start changes
+the cost of a solve and never what certifies it.  Richardson refinement solves
+a grid and its double, starting the grid from a pilot 1/16 as fine and the
+double from the grid; the pilot must hold a node a level.
 Deliberately self-contained (no linear-algebra library) so it can
 cross-validate the analytic Bessel spectrum without sharing any machinery
 with it.
@@ -39,6 +40,11 @@ _STEP_RTOL = 1e-10
 # a Laguerre correction below this, relative to the shift, lands within
 # _STEP_RTOL by cubic convergence: two counts then certify the step
 _CERT_RTOL = 1e-4
+# a Newton correction delta below this, relative to the shift, leaves an error
+# of about delta^2 sum_{j != k} 1/|lam_j - lam_k|: from the fine grid's 1e-6
+# start about 1e-11 of lam_k, at or below the pivots' rounding floor
+# 2 eps ||T||, so two counts then certify the step
+_NEWTON_RTOL = 1e-5
 # Richardson's pilot grid is this many times coarser than its coarse grid,
 # and still holds a node for every level
 PILOT_RATIO = 16
@@ -183,10 +189,29 @@ def _sweep(
     return count, g, h
 
 
+def _count_g(
+    diag: Sequence[float], above_sq: Sequence[float], x: float, pivmin: float
+) -> tuple[int, float]:
+    # _sweep without the s, rr and h recurrences: its count and G, bit for bit
+    count = 0
+    inv = r = g = 0.0
+    for a, b in zip(diag, above_sq):
+        q = b * inv
+        d = a - x - q
+        if d < pivmin:
+            if d > -pivmin:
+                d = -pivmin
+            count += 1
+        inv = 1.0 / d
+        r = (q * r - 1.0) * inv
+        g += r
+    return count, g
+
+
 def eigenvalues_lowest(
     op: TridiagonalOperator, count: int, *, start: Sequence[float] | None = None
 ) -> np.ndarray:
-    """The `count` smallest eigenvalues by count-safeguarded Laguerre steps, ascending.
+    """The `count` smallest eigenvalues by count-safeguarded Laguerre or Newton steps, ascending.
 
     One LDL^T sweep at a shift x gives the number of eigenvalues below x and
     G = sum 1/(x - lam_j), H = sum 1/(x - lam_j)^2 (Li & Zeng, SIAM J. Sci.
@@ -206,20 +231,30 @@ def eigenvalues_lowest(
     Gershgorin bound, which is made once.
 
     `start`, one approximate value per level, is only a hint: level k then
-    begins with a sweep at start[k - 1], clamped into the bracket the counts
-    have proved for it, and goes on as above.  It moves the first sweep and
-    nothing else, so the result is certified by counts all the same.
+    begins at start[k - 1], clamped into the bracket the counts have proved
+    for it.  From there it takes Newton's steps, 1/|G| toward lam_k with G
+    deflated as above, each on a pass that carries only the count and G.
+    From below lam_k Newton's step cannot pass it and converges
+    quadratically.  Laguerre's loop above goes on from the current point
+    when more than k eigenvalues lie below it, when G is 0 or not finite,
+    when the step would leave the bracket or a correction does not halve,
+    when a certificate fails, and after one step from above lam_k, where
+    Newton's own step passes it.  Once a level has gone on to Laguerre, the
+    levels above it, which start further off, take Laguerre's loop from
+    their starts.  A start moves the passes and nothing else, so the result
+    is certified by counts all the same.
 
     A level is done when its count bracket is 2e-10 relative wide, or
     2 eps * ||T||: the rounding floor of the pivots, below which counts and
     corrections are noise alike; call that tol.  Counts that only close a
     bracket come from a count-only pass, which skips G and H.  Once a
-    Laguerre correction falls below tol, one count just beyond the corrected
-    point closes the bracket.  Once it falls below 1e-4 of the shift, cubic
-    convergence has put the step within tol of lam_k, and two counts at the
-    step -+ tol certify it in place of a sweep there; if they do not bracket
-    lam_k, the brackets they proved stay and the iteration goes on.  The
-    step is the result, and every result is certified by counts.
+    correction falls below tol, one count just beyond the corrected point
+    closes the bracket.  Once a Laguerre correction falls below 1e-4 of the
+    shift, or a Newton correction below 1e-5, the step lies within about
+    tol of lam_k, and two counts at the step -+ tol certify it in place of
+    a pass there; if they do not bracket lam_k, the brackets they proved
+    stay and Laguerre's iteration goes on.  The step is the result, and
+    every result is certified by counts.
     """
     if not 1 <= count <= op.size:
         raise ValueError(f"count must lie in 1..{op.size}, got {count!r}")
@@ -259,27 +294,72 @@ def eigenvalues_lowest(
         bound(x, below)
         return below
 
-    seed = _sweep(diag, above_sq, bottom, pivmin) if start is None else None
     found: list[float] = []
+
+    def deflated(x: float, g: float, h: float) -> tuple[float, float]:
+        # G and H with the levels already found divided out
+        for lam in found:
+            if x == lam:  # G and H have a pole here
+                return math.nan, h
+            pole = 1.0 / (x - lam)
+            g -= pole
+            h -= pole * pole
+        return g, h
+
+    def newton(k: int, x: float) -> tuple[float, bool]:
+        # Newton's length 1/|G| toward lam_k on count-and-G passes: (the step,
+        # True) once counts close level k, else (where Laguerre goes on, False)
+        last = math.inf
+        while True:
+            below, g = _count_g(diag, above_sq, x, pivmin)
+            bound(x, below)
+            g = abs(deflated(x, g, 0.0)[0]) if below <= k else math.nan
+            step = math.nan
+            if 0.0 < g < math.inf:
+                step = x + 1.0 / g if below < k else x - 1.0 / g
+            t = tol(x)
+            # rounding may carry a converged step just past the bracket
+            if not lo[k] - t <= step <= hi[k] + t:
+                return x, False
+            step = min(max(step, lo[k]), hi[k])
+            move = step - x
+            if abs(move) > 0.5 * abs(last):
+                return step, False
+            if abs(move) <= t:
+                return step, count_at(step + t) >= k if below < k else count_at(step - t) < k
+            if abs(move) <= _NEWTON_RTOL * abs(x):
+                return step, count_at(step - tol(step)) < k <= count_at(step + tol(step))
+            if below == k:
+                # above lam_k Newton's own step passes lam_k (the other levels'
+                # terms of G are all negative, so 1/G > x - lam_k), or heads for
+                # lam_k+1 where G < 0: Laguerre goes on from this one
+                return step, False
+            last = move
+            x = step
+
+    seed = _sweep(diag, above_sq, bottom, pivmin) if start is None else None
+    # higher levels start further off: once a level has gone on to Laguerre,
+    # the levels above it start there
+    warm = start is not None
     for k in range(1, count + 1):
         m = op.size - k + 1
         if start is None:
             x, (below, g, h) = bottom, seed
         else:
             x = min(max(start[k - 1], lo[k]), hi[k])
+            if warm:
+                x, warm = newton(k, x)
+                if warm:
+                    found.append(x)
+                    continue
+                x = min(max(x, lo[k]), hi[k])
             below, g, h = sweep(x)
         last = 0.0  # the previous Laguerre correction, signed
         while True:
             t = tol(x)
             step = math.nan
             if below <= k:
-                for lam in found:
-                    if x == lam:  # G and H have a pole here
-                        g = math.nan
-                        break
-                    pole = 1.0 / (x - lam)
-                    g -= pole
-                    h -= pole * pole
+                g, h = deflated(x, g, h)
                 root = math.sqrt(max(0.0, (m - 1) * (m * h - g * g)))
                 if below < k:
                     a, b, den = x, hi[k], g - root

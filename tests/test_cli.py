@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from oracles import frenet_loop
 import spiralbox
-from spiralbox import cli, geometry, polyene, quantum, svgplot
+from spiralbox import cli, geometry, polyene, quantum, specfun, svgplot
 from spiralbox.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -1104,8 +1104,8 @@ def test_size_flags_past_their_cap_exit_2_at_once(tmp_path, capsys, name):
         assert not out.exists()
 
 
-# a literal-mode oracle at the grid cap takes about 2.4 s; effective mode shows the
-# cap is taken in 0.6 s
+# a literal-mode oracle at the grid cap takes 1.1-1.8 s; effective mode shows the
+# cap is taken in 0.3 s
 @pytest.mark.parametrize("name", ["curve", "curve-frenet", "wavefunction", "hydrogen", "oracle"])
 def test_size_flags_at_their_cap_are_accepted(tmp_path, name):
     argv = SIZE_FLAGS[name]
@@ -1212,6 +1212,35 @@ def test_hydrogen_one_past_its_row_weighted_cap_exits_2_at_once(tmp_path, capsys
     got = f"got ({n_level} + {ROW_STEPS}) * {samples}"
     flags = f"(--n-level + {ROW_STEPS}) * --samples"
     assert capsys.readouterr().err == f"error: {flags} must be at most {cli.MAX_LEVEL_SAMPLES}, {got}\n"
+    assert not out.exists()
+
+
+WAVE_ROW_STEPS = cli.WAVEFUNCTION_ROW_STEPS
+
+
+@pytest.mark.parametrize(
+    "sigma, level, samples", [(5e-5, 1, 1_000_000), (5e-5, 1, None), (0.063, 20, None)]
+)
+def test_wavefunction_past_its_recurrence_cap_exits_2_at_once(tmp_path, capsys, sigma, level,
+                                                              samples):
+    # --sigma 5e-5 --level 1 --samples 1000000 exited 0 after 89.7 s: each sample
+    # runs the Bessel recurrence down from order 10265.  None stands for one
+    # sample past the cap, which the samples before it lie on
+    spec = quantum.spiral_box_spectrum(sigma, 1.0, 1.0, level)
+    start = specfun._miller_start(spec.zero(level), spec.omega)
+    cost = start + WAVE_ROW_STEPS
+    samples = samples or cli.MAX_RECURRENCE_SAMPLES // cost + 1
+    out = tmp_path / "out.csv"
+    argv = ["wavefunction", "--sigma", repr(sigma), "--level", str(level), "--samples", str(samples)]
+    begin = time.perf_counter()
+    assert main(argv + ["--output", str(out)]) == 2
+    assert time.perf_counter() - begin < 1.0
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: (recurrence start + {WAVE_ROW_STEPS}) * --samples must be at most"
+        f" {cli.MAX_RECURRENCE_SAMPLES}, got ({start} + {WAVE_ROW_STEPS}) * {samples}:"
+        f" --sigma {sigma!r} --level {level} start it at order {start}\n"
+    )
     assert not out.exists()
 
 

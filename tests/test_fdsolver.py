@@ -207,7 +207,11 @@ def test_count_only_pass_equals_the_full_sweep_and_the_dense_count():
         block_starts = [diag[0], *diag[1:][off == 0.0]]
         for x in [*block_starts, 0.0, *rng.normal(scale=5.0, size=6)]:
             below = fdsolver._count(*args, float(x), pivmin)
-            assert below == fdsolver._sweep(*args, float(x), pivmin)[0]
+            full = fdsolver._sweep(*args, float(x), pivmin)
+            assert below == full[0]
+            # the count-and-G pass gives the full sweep's count and G bit for bit
+            # (repr tells -0.0 from 0.0, and matches nan where a clamped pivot sends G)
+            assert repr(fdsolver._count_g(*args, float(x), pivmin)) == repr(full[:2])
             assert below == sturm_count(TridiagonalOperator(diag, off, 1.0), float(x))
             # on a shift that is (up to rounding) an eigenvalue, either side is right
             assert np.sum(eigs < x - delta) <= below <= np.sum(eigs < x + delta)
@@ -405,9 +409,11 @@ def test_zero_matrix_brackets_close():
 
 
 def _count_passes(monkeypatch):
-    """Count every pass over an operator, keyed by (kind, operator size)."""
+    """Count every pass over an operator, keyed by (kind, operator size): "full"
+    for an LDL^T sweep with G and H, "count_g" for a count-and-G pass and
+    "count" for a count-only pass."""
     passes = {}
-    for name, kind in (("_sweep", "full"), ("_count", "count")):
+    for name, kind in (("_sweep", "full"), ("_count_g", "count_g"), ("_count", "count")):
         run = getattr(fdsolver, name)
 
         def counted(diag, *args, run=run, kind=kind):
@@ -417,6 +423,11 @@ def _count_passes(monkeypatch):
 
         monkeypatch.setattr(fdsolver, name, counted)
     return passes
+
+
+def _passes_on(passes, size):
+    """Passes of every kind over the operator of this size."""
+    return sum(n for (_, at), n in passes.items() if at == size)
 
 
 def test_three_levels_at_20000_nodes_take_a_handful_of_sweeps(monkeypatch):
@@ -434,11 +445,13 @@ def test_fine_grid_starts_from_the_coarse_eigenvalues(monkeypatch, omega):
     # 42-51 below, from the Gershgorin bound
     passes = _count_passes(monkeypatch)
     refined = richardson_refine(inverse_square(omega), 1.0, 3, 2000)
-    assert passes.get(("full", 4000), 0) + passes.get(("count", 4000), 0) <= 4 * 3
+    assert _passes_on(passes, 4000) <= 4 * 3
     if omega >= 1.0:
-        # the first Laguerre correction from each coarse eigenvalue is below
-        # 1e-4 relative, so two counts certify its step: one sweep per level
-        assert passes[("full", 4000)] <= 3
+        # the first Newton correction from each coarse eigenvalue is below 1e-5
+        # relative, so two counts certify its step: one count-and-G pass a level
+        assert passes.get(("full", 4000), 0) == 0
+        assert passes[("count_g", 4000)] <= 3
+        assert passes[("count", 4000)] <= 6
     # the same extrapolation from a cold fine solve: the two fine solves agree
     # within their count brackets, eps ||T|| wide
     coarse = eigenvalues_lowest(discretize(inverse_square(omega), 1.0, 2000), 3)
@@ -490,7 +503,7 @@ def test_coarse_grid_starts_from_a_pilot_grid(monkeypatch, omega):
     passes = _count_passes(monkeypatch)
     solves = _record_solves(monkeypatch)
     richardson_refine(inverse_square(omega), 1.0, 3, 10_000)
-    assert passes.get(("full", 10_000), 0) + passes.get(("count", 10_000), 0) <= 4 * 3
+    assert _passes_on(passes, 10_000) <= 4 * 3
     # only the pilot, 1/16 as fine, is solved cold; every level of the warm
     # solves is still closed by counts on its own operator
     assert [(op.size, start is None) for op, start, _ in solves] == [
@@ -510,16 +523,15 @@ def test_literal_mode_starts_each_finer_grid_from_the_last_ground_level(
     assert cli.main(argv + ["--output", str(tmp_path / "o.csv")]) == 0
     assert [(op.size, start is None) for op, start, _ in solves] == [
         (grid, True), (2 * grid, False), (4 * grid, False)]
-    warm_passes = {n: passes.get(("full", n), 0) + passes.get(("count", n), 0)
-                   for n in (2 * grid, 4 * grid)}
+    warm_passes = {n: _passes_on(passes, n) for n in (2 * grid, 4 * grid)}
     for op, _, warm in solves[1:]:
         passes.clear()
         cold = eigenvalues_lowest(op, 1)
-        # node-weighted, with a count-only pass weighed as a full sweep; a
+        # node-weighted, with every kind of pass weighed as a full sweep; a
         # start right on the leading block's eigenvalue loses the sweep's H
         # to rounding and took as many passes as a cold solve at omega <= 0.1
         assert warm_passes[op.size] <= 8
-        assert warm_passes[op.size] < passes[("full", op.size)] + passes.get(("count", op.size), 0)
+        assert warm_passes[op.size] < _passes_on(passes, op.size)
         _assert_closed_by_counts(op, warm)
         assert abs(warm[0] - cold[0]) <= 4.0 * _tol(op, cold[0])
 
